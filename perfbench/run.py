@@ -22,19 +22,20 @@ import faulthandler
 import gc
 import json
 import os
-import resource
 import shutil
 import signal
 import statistics
 import sys
 import threading
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STATE = ROOT / ".perfbench"
 SETUP_REPEATS = 3
+WARM_S = 1.0              # untimed cycles after the warm-up cycle
 OBJECT_STORE_BYTES = 768 << 20
 DEADLINE_S = 170          # the run must end inside 180 s
 RAY_TMP_MAX = 40          # longer temp paths overflow Ray's AF_UNIX socket names
@@ -167,6 +168,19 @@ def setup(wl_cls, seed: int, ncpu: int, repeats: int):
 
 # ---- measurement -----------------------------------------------------------
 
+def cpu_ticks():
+    """(busy, steal) ticks summed over every CPU, from /proc/stat; steal is
+    time a runnable virtual CPU waited while the hypervisor ran something
+    else. (0, 0) where there is no /proc/stat."""
+    try:
+        with open("/proc/stat") as fh:
+            user, nice, system, _, _, irq, softirq, steal = (
+                int(x) for x in fh.readline().split()[1:9])
+    except (OSError, ValueError):
+        return 0, 0
+    return user + nice + system + irq + softirq, steal
+
+
 class Runner:
     """Runs operations and checks every result: the first result of a
     deterministic operation gets the full oracle check and its digest is
@@ -179,14 +193,19 @@ class Runner:
         self.attempted = 0
         self.failed = 0
         self.failures = []
+        self.alloc = {}      # op name -> peak bytes traced during its run
 
-    def run(self, op, traced: bool = False):
+    def run(self, op, traced: bool = False, alloc: bool = False):
+        """Returns (wall, stolen, spans): ``stolen`` is the share of the
+        CPU time the machine spent on the operation (busy plus steal) that
+        the hypervisor took; (None, None, None) when it raised."""
         from perfbench.oracles import digest
         from perfbench.tracing import SpanList
 
         self.wl.last.pop(op.name, None)
         self.attempted += 1
         spans = None
+        busy0, steal0 = cpu_ticks()
         t0 = time.monotonic()
         try:
             if traced:
@@ -194,15 +213,23 @@ class Runner:
                 with sl.span("op", None) as root:
                     result = op.traced(sl, root)
                 spans = (sl.spans, root)
+            elif alloc:
+                tracemalloc.start()
+                try:
+                    result = op.run()
+                    self.alloc[op.name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             else:
                 result = op.run()
             wall = time.monotonic() - t0
+            busy, steal = (b - a for a, b in zip((busy0, steal0), cpu_ticks()))
         except Exception as e:  # one failed operation must not end the run
             import traceback
 
             traceback.print_exc(file=sys.stderr)
             self._fail(op, [f"{type(e).__name__}: {e}"])
-            return None, None
+            return None, None, None
         finally:
             # Ray Data executors of finished Datasets sit in reference
             # cycles; until the cyclic collector runs, their actor pools
@@ -215,31 +242,23 @@ class Runner:
             self._fail(op, fails)
             if not fails and d is not None:
                 self.digests.setdefault(op.name, d)
-        return wall, spans
+        return wall, steal / (busy + steal) if busy + steal > 0 else 0.0, spans
 
     def _fail(self, op, fails):
         self.failed += bool(fails)
         self.failures += [f"{op.name}: {f}" for f in fails]
 
 
-def peak_rss_reset() -> None:
-    """Restart the driver's VmHWM (Linux); ru_maxrss is the fallback."""
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-    except OSError:
-        pass
-
-
-def peak_rss_mb() -> float:
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def driver_alloc_mb(ops, runner: Runner) -> float:
+    """The largest peak, over the timed operations, of the driver memory
+    one operation allocates (Python objects and numpy arrays, through
+    ``tracemalloc``) while it runs; each operation runs once more for it,
+    untimed and checked. The driver's RSS peak is no stand-in: it follows
+    the benchmark's own oracle arrays and the allocator's free lists."""
+    for op in ops:
+        if op.timed:
+            runner.run(op, alloc=True)
+    return max(runner.alloc.values(), default=0) / float(1 << 20)
 
 
 def med(xs, default=0.0):
@@ -250,19 +269,26 @@ def med(xs, default=0.0):
 def cycles(ops, runner: Runner, seconds: float, traced: bool = False):
     """One untimed warm-up cycle, so lazy set-up inside the library (first
     task of each kind, first Dataset plan, allocator growth) is not timed,
-    then cycles for ``seconds``. Yields (op, traced, wall, spans) for every
-    timed operation that completed. With ``traced`` each cycle is followed
-    by a traced cycle."""
+    then untimed cycles for ``WARM_S`` (the first few after start-up ran
+    slower), then cycles for ``seconds``. Yields (op, traced, wall,
+    stolen, spans) for every timed operation that completed. With
+    ``traced`` each cycle is followed by a traced cycle and every operation
+    is in both; without it the cycles hold only the operations marked
+    ``timed``."""
     for op in ops:
         runner.run(op)
-    peak_rss_reset()
+    loop = ops if traced else [op for op in ops if op.timed]
+    t_warm = time.monotonic() + WARM_S
+    while time.monotonic() < t_warm:
+        for op in loop:
+            runner.run(op)
     t_end = time.monotonic() + seconds
     while True:
         for tr in (False, True) if traced else (False,):
-            for op in ops:
-                wall, spans = runner.run(op, traced=tr)
+            for op in loop:
+                wall, stolen, spans = runner.run(op, traced=tr)
                 if wall is not None:
-                    yield op, tr, wall, spans
+                    yield op, tr, wall, stolen, spans
         if time.monotonic() >= t_end:
             break
 
@@ -276,19 +302,29 @@ def token_rate(ops, walls) -> float:
 
 
 def measure(ops, runner: Runner, seconds: float):
-    """Untraced cycles; returns the end-to-end metrics and the walls."""
-    walls = defaultdict(list)
-    for op, _, wall, _ in cycles(ops, runner, seconds):
+    """Untraced cycles; returns the end-to-end metrics and, per operation,
+    its walls and the stolen shares of its CPU time.
+
+    ``tokens_per_s`` times each operation by its wall less the part the
+    hypervisor stole, ``wall * (1 - stolen)``: on a shared host, whole runs
+    of the same code went 15-20% slower while other guests took the CPUs,
+    and that loss showed as steal."""
+    walls, stolen = defaultdict(list), defaultdict(list)
+    for op, _, wall, st, _ in cycles(ops, runner, seconds):
         walls[op.name].append(wall)
-    return {"tokens_per_s": (token_rate(ops, walls), "tok/s"),
-            "driver_peak_rss_mb": (peak_rss_mb(), "MB")}, walls
+        stolen[op.name].append(st)
+    unstolen = {k: [w * (1 - st) for w, st in zip(walls[k], stolen[k])]
+                for k in walls}
+    return {"tokens_per_s": (token_rate(ops, unstolen), "tok/s"),
+            "driver_peak_alloc_mb": (driver_alloc_mb(ops, runner), "MB")}, \
+        walls, stolen
 
 
 def measure_traced(wl, ops, runner: Runner, seconds: float):
     """Alternating untraced and traced cycles."""
     untraced, traced = defaultdict(list), []
     n = len(wl.trace_info)
-    for op, tr, wall, spans in cycles(ops, runner, seconds, traced=True):
+    for op, tr, wall, _, spans in cycles(ops, runner, seconds, traced=True):
         if not tr:
             untraced[op.name].append(wall)
             continue
@@ -448,6 +484,11 @@ def main(argv=None) -> int:
         wl.prepare()
         ops = wl.ops()
         runner = Runner(wl)
+        # the collections between operations then scan only what the
+        # operations made (a few ms, not ~90 ms over every Ray and pyarrow
+        # object), which leaves more operations in a timed window
+        gc.collect()
+        gc.freeze()
         if args.trace:
             untraced, traced = measure_traced(wl, ops, runner, args.seconds)
             metrics, coverage = layer_metrics(wl, ops, untraced, traced, ncpu)
@@ -456,7 +497,7 @@ def main(argv=None) -> int:
             with open(STATE / f"trace-{args.workload}-s{args.seed}.json", "w") as fh:
                 json.dump({"coverage": coverage, "spans": spans}, fh)
         else:
-            metrics, walls = measure(ops, runner, args.seconds)
+            metrics, walls, stolen = measure(ops, runner, args.seconds)
             metrics["setup_s"] = (statistics.median(setups), "s")
             try:
                 rmse = wl.accuracy()
@@ -464,6 +505,7 @@ def main(argv=None) -> int:
                 rmse = 0.0
             metrics["cm_overcount_rmse"] = (rmse, "count")
             record["walls"] = dict(walls)
+            record["stolen"] = dict(stolen)
     finally:
         ray.shutdown()
         watchdog.cancel()
