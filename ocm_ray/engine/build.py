@@ -210,6 +210,8 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     ``counter_dtype='int32'`` when every shard's counts fit int32 —
     halving the scatter working set roughly doubles throughput under
     memory-bandwidth contention; merge into int64 where totals demand it.
+    A conservative update that would push an int32 cell past 2^31-1
+    raises ``OverflowError`` rather than wrapping.
     """
     files = sorted(files)
     n = int(ray.cluster_resources().get("CPU", 8))

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from ocm_ray.core.hashing import wanghash
+from ocm_ray.core.hashing import HASH_BLOCK, wanghash_inplace
 
 U64 = np.uint64
 
@@ -106,44 +106,51 @@ def list_column_values(batch: pa.Table, column: str) -> tuple[np.ndarray, np.nda
     return flat, lengths
 
 
-def kgram_reduce(flat: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
-    """One uint64 item per within-row window of k consecutive tokens.
+def kgram_windows(flat: np.ndarray, lengths: np.ndarray, k: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(gram_hashes uint64, gram_rowid int64)``: one hash per
+    within-row window of k consecutive items of the flat stream whose
+    rows have ``lengths`` — the engine's ONE k-gram window hash.
 
     Window hash: ``h = wang(t_0); h = wang(h ^ t_j)`` for j=1..k-1 —
-    order-sensitive, collision-resistant, vectorized over all windows.
+    order-sensitive, collision-resistant. Windows are hashed
+    :data:`~ocm_ray.core.hashing.HASH_BLOCK` at a time, in place in the
+    output, so the k chained hashes of a block stay in cache.
     """
     flat = flat.astype(U64, copy=False)
     n = len(flat)
     if n < k:
-        return np.empty(0, dtype=U64)
-    win = np.lib.stride_tricks.sliding_window_view(flat, k)
-    acc = wanghash(win[:, 0])
-    for j in range(1, k):
-        acc = wanghash(acc ^ win[:, j])
-    rowid = np.repeat(np.arange(len(lengths)), lengths)
-    valid = rowid[: n - k + 1] == rowid[k - 1:]
-    return acc[valid]
+        return np.empty(0, dtype=U64), np.empty(0, dtype=np.int64)
+    nw = n - k + 1
+    acc = np.empty(nw, dtype=U64)
+    for b in range(0, nw, HASH_BLOCK):
+        e = min(b + HASH_BLOCK, nw)
+        h = acc[b:e]
+        h[:] = flat[b:e]
+        wanghash_inplace(h)
+        for j in range(1, k):
+            h ^= flat[b + j:e + j]
+            wanghash_inplace(h)
+    rowid = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    valid = rowid[:nw] == rowid[k - 1:]
+    return acc[valid], rowid[:nw][valid]
+
+
+def kgram_reduce(flat: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+    """One uint64 item per within-row window of k consecutive tokens
+    (the hashes of :func:`kgram_windows`)."""
+    return kgram_windows(flat, lengths, k)[0]
 
 
 def token_kgram_hashes(batch: pa.Table, column: str, k: int,
                        ) -> tuple[np.ndarray, np.ndarray, int]:
     """Token-id k-gram hashes of a ``list<int>`` column with row
     attribution: ``(gram_hashes uint64, gram_rowid int64, n_rows)`` —
-    the tokens-domain sibling of :func:`word_kgram_hashes` (same
-    chained-WangHash window hash as :func:`kgram_reduce`, plus the
-    rowid stream the per-document dup-gram statistics need)."""
+    the tokens-domain sibling of :func:`word_kgram_hashes` (the
+    :func:`kgram_windows` hash plus the rowid stream the per-document
+    dup-gram statistics need)."""
     flat, lengths = list_column_values(batch, column)
-    flat = flat.astype(U64, copy=False)
-    n, nrows = len(flat), len(lengths)
-    if n < k:
-        return (np.empty(0, dtype=U64), np.empty(0, dtype=np.int64), nrows)
-    win = np.lib.stride_tricks.sliding_window_view(flat, k)
-    acc = wanghash(win[:, 0])
-    for j in range(1, k):
-        acc = wanghash(acc ^ win[:, j])
-    rowid = np.repeat(np.arange(nrows, dtype=np.int64), lengths)
-    valid = rowid[: n - k + 1] == rowid[k - 1:]
-    return acc[valid], rowid[: n - k + 1][valid], nrows
+    return (*kgram_windows(flat, lengths, k), len(lengths))
 
 
 def word_kgram_hashes(arr: "pa.ChunkedArray | pa.Array", k: int,
@@ -152,21 +159,12 @@ def word_kgram_hashes(arr: "pa.ChunkedArray | pa.Array", k: int,
     """Word k-gram hashes of a string column with row attribution:
     ``(gram_hashes uint64, gram_rowid int64, n_rows)``. Words are
     space-split (DuckDB ``string_split`` semantics via
-    :func:`split_words_hashed`); the window hash is the same chained
-    WangHash as :func:`kgram_reduce`, so grouping/joining on these
+    :func:`split_words_hashed`); the window hash is the
+    :func:`kgram_windows` chained WangHash, so grouping/joining on these
     values equals grouping on the gram strings absent 64-bit
-    collisions. Fully vectorized (one ``sliding_window_view``)."""
+    collisions. Fully vectorized."""
     flat, lens = split_words_hashed(arr, lowercase, seed)
-    n, nrows = len(flat), len(lens)
-    if n < k:
-        return (np.empty(0, dtype=U64), np.empty(0, dtype=np.int64), nrows)
-    rowid = np.repeat(np.arange(nrows, dtype=np.int64), lens)
-    win = np.lib.stride_tricks.sliding_window_view(flat, k)
-    acc = wanghash(win[:, 0])
-    for j in range(1, k):
-        acc = wanghash(acc ^ win[:, j])
-    valid = rowid[: n - k + 1] == rowid[k - 1:]
-    return acc[valid], rowid[: n - k + 1][valid], nrows
+    return (*kgram_windows(flat, lens, k), len(lens))
 
 
 def items_from_batch(batch: pa.Table, column: str = "tokens", kgram: int = 1,

@@ -80,9 +80,9 @@ class NBModel:
 
     @classmethod
     def load(cls, path: str) -> "NBModel":
-        z = np.load(path)
-        s = z["scalars"]
-        return cls(keys=z["keys"], lp_diff=z["lp_diff"], lp_oov=float(s[0]),
+        with np.load(path) as z:
+            keys, lp_diff, s = z["keys"], z["lp_diff"], z["scalars"]
+        return cls(keys=keys, lp_diff=lp_diff, lp_oov=float(s[0]),
                    prior=float(s[1]), vocab_size=int(s[2]), alpha=float(s[3]),
                    lowercase=bool(s[4]), n_pos_docs=int(s[5]),
                    n_neg_docs=int(s[6]))
@@ -359,9 +359,9 @@ class LRModel:
 
     @classmethod
     def load(cls, path: str) -> "LRModel":
-        z = np.load(path)
-        s = z["scalars"]
-        return cls(w=z["w"], b=float(s[0]), dim=int(s[1]),
+        with np.load(path) as z:
+            w, s = z["w"], z["scalars"]
+        return cls(w=w, b=float(s[0]), dim=int(s[1]),
                    bigrams=bool(s[2]), lowercase=bool(s[3]),
                    epochs=int(s[4]), lr=float(s[5]), l2=float(s[6]))
 
@@ -603,10 +603,10 @@ class TreeModel:
 
     @classmethod
     def load(cls, path: str) -> "TreeModel":
-        z = np.load(path, allow_pickle=False)
-        return cls(feat=z["feat"], thresh=z["thresh"], leaf_p=z["leaf_p"],
-                   feature_cols=tuple(str(c) for c in z["cols"]),
-                   max_depth=int(z["depth"][0]))
+        with np.load(path, allow_pickle=False) as z:
+            return cls(feat=z["feat"], thresh=z["thresh"], leaf_p=z["leaf_p"],
+                       feature_cols=tuple(str(c) for c in z["cols"]),
+                       max_depth=int(z["depth"][0]))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf positive-class probability per row of the (n, n_feat)

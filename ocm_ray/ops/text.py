@@ -262,9 +262,9 @@ class NumpyMLPEncoder:
 
     def _load(self):
         if self._w is None:
-            z = np.load(self.path)
-            self._w = {k: z[k].astype(np.float32)
-                       for k in ("W1", "b1", "W2", "b2")}
+            with np.load(self.path) as z:
+                self._w = {k: z[k].astype(np.float32)
+                           for k in ("W1", "b1", "W2", "b2")}
             self.load_count += 1
             if self.load_log:
                 import os as _os

@@ -132,21 +132,27 @@ def merge_all(sketches) -> MergeableSketch:
     return acc
 
 
+def _segment_sum(u: np.ndarray, c: np.ndarray):
+    """(unique, int64 count) of a SORTED item run ``u`` with counts ``c``:
+    one boundary scan plus an integer ``add.reduceat`` — exact at any
+    count (no float64 round trip)."""
+    if len(u) == 0:
+        return u, c
+    new_run = np.empty(len(u), dtype=bool)
+    new_run[0] = True
+    np.not_equal(u[1:], u[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    return u[starts], np.add.reduceat(c, starts)
+
+
 def merge_sorted_counts(u1: np.ndarray, c1: np.ndarray,
                         u2: np.ndarray, c2: np.ndarray):
     """Merge two sorted (unique, count) runs into one (single sort pass +
     segment-sum; no second unique)."""
     u = np.concatenate([u1, u2])
     c = np.concatenate([c1, c2])
-    if len(u) == 0:
-        return u, c
     order = np.argsort(u, kind="stable")
-    u, c = u[order], c[order]
-    new_run = np.empty(len(u), dtype=bool)
-    new_run[0] = True
-    np.not_equal(u[1:], u[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    return u[starts], np.add.reduceat(c, starts)
+    return _segment_sum(u[order], c[order])
 
 
 class CountCombiner:
@@ -155,10 +161,13 @@ class CountCombiner:
     update per shard instead of one scatter per batch. For a Zipf token
     domain this turns the sketch's random-access traffic from
     O(batches × vocab) into O(vocab) — the difference between a
-    memory-bandwidth-bound and a compute-bound build. Domains with
-    unbounded distincts (k-grams, hashes) are guarded by ``flush_limit``:
-    when the table outgrows it, the sketch absorbs the counts and the
-    table resets (still correct — sketch updates are multiset-additive).
+    memory-bandwidth-bound and a compute-bound build. The table is
+    handed to the sketch sorted and unique, so ``dedupe_counts`` in the
+    sketch's ``update`` passes it through without a second dedupe.
+    Domains with unbounded distincts (k-grams, hashes) are guarded by
+    ``flush_limit``: when the table outgrows it, the sketch absorbs the
+    counts and the table resets (still correct — sketch updates are
+    multiset-additive).
     """
 
     DENSE_DOMAIN = 1 << 22  # ids below this use an O(1)-per-item dense array
@@ -252,11 +261,18 @@ class CountCombiner:
 def dedupe_counts(items: np.ndarray, counts: Optional[np.ndarray] = None):
     """Pre-aggregate a raw item stream into (unique, count) — the in-batch
     combiner every counting sketch uses before touching its arrays. With
-    Zipfian token streams this shrinks per-batch scatter work by ~30x."""
+    Zipfian token streams this shrinks per-batch scatter work by ~30x.
+
+    A ``(items, counts)`` table whose items are already strictly
+    increasing (every :class:`CountCombiner` hand-over, every cached
+    count table) is returned as is: one O(n) scan instead of a second
+    sort. Repeated items are summed in int64, exactly."""
     items = np.asarray(items)
     if counts is None:
         uniq, cnt = np.unique(items, return_counts=True)
         return uniq.astype(np.uint64, copy=False), cnt.astype(np.int64, copy=False)
-    uniq, inv = np.unique(items, return_inverse=True)
-    agg = np.bincount(inv, weights=np.asarray(counts, dtype=np.float64))
-    return uniq.astype(np.uint64, copy=False), agg.astype(np.int64)
+    counts = np.asarray(counts).astype(np.int64, copy=False)
+    if len(items) > 1 and not (items[1:] > items[:-1]).all():
+        order = np.argsort(items, kind="stable")
+        items, counts = _segment_sum(items[order], counts[order])
+    return items.astype(np.uint64, copy=False), counts

@@ -32,7 +32,9 @@ Distributed contracts (SURVEY §7.4):
 
 Counters are int64 by default (the reference's int32 would overflow at
 10^12-token scale: a 4% hot token ⇒ 4×10^10 > 2^31); ``counter_dtype`` can
-be set to int32 for reference-format interop.
+be set to int32 for reference-format interop or small per-shard partials.
+The conservative kernels raise ``OverflowError`` when an update would push
+a cell past the counter dtype's max (see ``_raise_to``).
 """
 
 from __future__ import annotations
@@ -62,6 +64,33 @@ def _scatter_add(core: np.ndarray, pos: np.ndarray, weights: np.ndarray) -> None
     else:
         acc = np.bincount(idx, weights=w, minlength=core.size)
         core += acc.astype(core.dtype, copy=False)
+
+
+def _raise_to(floor: np.ndarray, cnt: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``floor + cnt`` in the counter dtype — the value a conservative
+    update raises an item's cells to.
+
+    ``floor`` (counter dtype) + ``cnt`` (int64) is int64; handing that to
+    ``np.maximum.at`` over an int32 core drops numpy onto its generic
+    casting loop, 15-45x slower than the same-dtype fast path. Casting
+    here keeps every proposal in the core's dtype, and a target past the
+    dtype's max raises ``OverflowError`` instead of wrapping negative."""
+    target = floor.astype(np.int64, copy=False) + cnt
+    if target.dtype == dtype:
+        return target
+    hi = np.iinfo(dtype).max
+    if target.size and int(target.max()) > hi:
+        raise OverflowError(
+            f"conservative count-min cell would exceed the {dtype} "
+            f"counter max {hi}; use counter_dtype='int64'")
+    return target.astype(dtype)
+
+
+def _mark(collision: np.ndarray, idx: np.ndarray, value: int) -> None:
+    """``collision[idx] = max(collision[idx], value)`` for one scalar mark.
+    Repeats in ``idx`` all store the same value, so a gather + max +
+    scatter equals ``np.maximum.at`` without its per-element loop."""
+    collision[idx] = np.maximum(collision[idx], np.int32(value))
 
 
 class _CMGeometry(MergeableSketch):
@@ -133,8 +162,8 @@ class CountMin(_CMGeometry):
         ≤ cell + c ≤ vanilla) under any batch/partition split.
         """
         vals = self.core[pos]                        # (U, nh) gather
-        mins = vals.min(axis=1)
-        proposed = np.maximum(vals, (mins + cnt)[:, None])
+        target = _raise_to(vals.min(axis=1), cnt, self.core.dtype)
+        proposed = np.maximum(vals, target[:, None])
         np.maximum.at(self.core, pos.ravel(), proposed.ravel())
 
     def update_sequential(self, items: np.ndarray) -> None:
@@ -415,7 +444,7 @@ class OfflineCountMin(_CMGeometry):
         pos_g = pos[gate]
         vals = core[pos_g]
         mark = vals > vals.min(axis=1, keepdims=True)
-        np.maximum.at(self.collision, pos_g[mark], np.int32(round_no - 1))
+        _mark(self.collision, pos_g[mark], round_no - 1)
 
     def update_count_collision(self, items: np.ndarray, round_no: int,
                                total_round: int,
@@ -449,7 +478,7 @@ class OfflineCountMin(_CMGeometry):
             sel = cvals[clean] == mc[clean][:, None]
             v1 = vals[clean]
             m1 = np.where(sel, v1, np.iinfo(v1.dtype).max).min(axis=1)
-            target = (m1 + cnt[clean])[:, None]
+            target = _raise_to(m1, cnt[clean], self.core.dtype)[:, None]
             prop = np.where(sel, np.maximum(v1, target), v1)
             np.maximum.at(self.core, pos[clean].ravel(), prop.ravel())
         # Branch 2: all cells collided last round — conservative bump over all
@@ -458,11 +487,12 @@ class OfflineCountMin(_CMGeometry):
         if dirty.any():
             v2 = vals[dirty]
             m2 = v2.min(axis=1)
-            prop = np.maximum(v2, (m2 + cnt[dirty])[:, None])
+            target = _raise_to(m2, cnt[dirty], self.core.dtype)
+            prop = np.maximum(v2, target[:, None])
             np.maximum.at(self.core, pos[dirty].ravel(), prop.ravel())
             if round_no < total_round:
                 mark = v2 > m2[:, None]
-                np.maximum.at(self.collision, pos[dirty][mark], np.int32(round_no))
+                _mark(self.collision, pos[dirty][mark], round_no)
 
     # ---- sequential parity kernels (parallelism=1 conformance only) --------
     def update_count_sequential(self, items: np.ndarray) -> None:

@@ -123,10 +123,10 @@ class HyperBitBit:
         # path back (symmetric save(p)/load(p) contract)
         if not os.path.exists(path) and os.path.exists(path + ".npz"):
             path = path + ".npz"
-        z = np.load(path)
-        hb = cls(seedseed=int(z["seedseed"]))
-        hb.logn = int(z["logn"])
-        hb.s1, hb.s2 = U64(z["s"][0]), U64(z["s"][1])
+        with np.load(path) as z:
+            hb = cls(seedseed=int(z["seedseed"]))
+            hb.logn = int(z["logn"])
+            hb.s1, hb.s2 = U64(z["s"][0]), U64(z["s"][1])
         return hb
 
 

@@ -112,14 +112,14 @@ class SlidingWindowCM:
         # path back (symmetric save(p)/load(p) contract)
         if not os.path.exists(path) and os.path.exists(path + ".npz"):
             path = path + ".npz"
-        z = np.load(path)
-        sw = cls(int(z["window"]), np_bits=int(z["np_bits"]),
-                 nh=int(z["nh"]), seedseed=int(z["seedseed"]))
-        sw._n = int(z["n"])
-        sw._buf = z["buf"].copy()
-        sw.cm.core = z["core"].copy()
-        if "n_items" in z:  # stream-length state (absent in old files)
-            sw.cm.n_items = z["n_items"].copy()
+        with np.load(path) as z:
+            sw = cls(int(z["window"]), np_bits=int(z["np_bits"]),
+                     nh=int(z["nh"]), seedseed=int(z["seedseed"]))
+            sw._n = int(z["n"])
+            sw._buf = z["buf"].copy()
+            sw.cm.core = z["core"].copy()
+            if "n_items" in z:  # stream-length state (absent in old files)
+                sw.cm.n_items = z["n_items"].copy()
         return sw
 
 

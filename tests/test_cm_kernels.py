@@ -1,0 +1,304 @@
+"""Count-min hot kernels: dtype-exact conservative scatters, integer-exact
+dedupe, blocked hashing, and npz handle hygiene.
+
+The conservative kernels must hand ``np.maximum.at`` values already in the
+core's dtype (mixed dtypes fall off numpy's fast path), raise instead of
+wrapping when an int32 cell would pass 2^31-1, and produce the same cores
+for int32 and int64 counters. The blocked hash kernels must equal the
+unblocked formulas across block edges.
+"""
+
+import os
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from ocm_ray.core.hashing import (HASH_BLOCK, _wang_block, derive_seeds,
+                                  positions, wanghash, wanghash_inplace,
+                                  wanghash_scalar)
+from ocm_ray.engine.tokens import (items_from_batch, split_words_hashed,
+                                   token_kgram_hashes, word_kgram_hashes)
+from ocm_ray.sketches import countmin
+from ocm_ray.sketches.base import CountCombiner, dedupe_counts
+from ocm_ray.sketches.countmin import CountMin, OfflineCountMin
+
+I32_MAX = 2**31 - 1
+
+
+def _tables(seed, batches=4, n=3000, domain=20000):
+    """Seeded (uniq, cnt) tables with heavy repeats across batches."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(batches):
+        u = np.unique(rng.zipf(1.3, n).astype(np.uint64) % domain)
+        out.append((u, rng.integers(1, 1000, len(u)).astype(np.int64)))
+    return out
+
+
+def _occm_rounds(dtype, tables, rounds=4, np_bits=10):
+    """Multi-round fused OCCM passes; (core, collision) after each round."""
+    o = OfflineCountMin(np_bits, 5, conservative=True, counter_dtype=dtype)
+    states = []
+    for r in range(rounds):
+        o.clear_core()
+        for u, c in tables:
+            o.update_count_collision(u, r, rounds, c)
+        states.append((o.core.astype(np.int64), o.collision.copy()))
+    return states
+
+
+# ---- overflow is an error, not a wrap ---------------------------------------
+
+def test_conservative_int32_overflow_raises():
+    cm = CountMin(8, 3, conservative=True, counter_dtype="int32")
+    cm.update(np.array([5], np.uint64), np.array([I32_MAX - 10]))
+    before = cm.core.copy()
+    with pytest.raises(OverflowError):
+        cm.update(np.array([5], np.uint64), np.array([15]))
+    assert np.array_equal(cm.core, before)          # nothing half-written
+    assert cm.core.min() >= 0
+    with pytest.raises(OverflowError):
+        CountMin(8, 3, conservative=True, counter_dtype="int32").update(
+            np.array([9], np.uint64), np.array([2**31 + 5]))
+    # the int64 default absorbs the same counts
+    big = CountMin(8, 3, conservative=True)
+    big.update(np.array([9], np.uint64), np.array([2**31 + 5]))
+    assert big.estimate(np.array([9], np.uint64))[0] == 2**31 + 5
+
+
+@pytest.mark.parametrize("round_no", [0, 2])   # dirty branch, clean branch
+def test_occm_int32_overflow_raises(round_no):
+    o = OfflineCountMin(8, 3, conservative=True, counter_dtype="int32")
+    item = np.array([11], np.uint64)
+    o.update_count_collision(item, round_no, 4, np.array([I32_MAX - 1]))
+    with pytest.raises(OverflowError):
+        o.update_count_collision(item, round_no, 4, np.array([2]))
+    assert o.core.min() >= 0
+
+
+# ---- int32 and int64 counters agree ------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conservative_cm_int32_equals_int64(seed):
+    cores = {}
+    for dt in ("int32", "int64"):
+        cm = CountMin(10, 5, conservative=True, counter_dtype=dt)
+        for u, c in _tables(seed):
+            cm.update(u, c)
+        assert cm.core.dtype == np.dtype(dt)
+        cores[dt] = cm.core
+    assert np.array_equal(cores["int32"].astype(np.int64), cores["int64"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_occm_fused_int32_equals_int64(seed):
+    tables = _tables(seed)
+    s32, s64 = _occm_rounds("int32", tables), _occm_rounds("int64", tables)
+    for r, ((c32, k32), (c64, k64)) in enumerate(zip(s32, s64)):
+        assert np.array_equal(c32, c64), f"core differs at round {r}"
+        assert np.array_equal(k32, k64), f"collision differs at round {r}"
+    # rounds >= 2 exercise the clean (min-collision) branch
+    assert s64[1][1].max() > 0
+
+
+class _MaximumSpy:
+    """Stands in for ``np.maximum``: records (target dtype, values dtype)
+    of every ``.at`` call, forwards everything to numpy."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *a, **k):
+        return np.maximum(*a, **k)
+
+    def at(self, target, idx, values):
+        self.calls.append((target.dtype, np.asarray(values).dtype))
+        return np.maximum.at(target, idx, values)
+
+
+class _NumpyWithSpy:
+    def __init__(self, spy):
+        self.maximum = spy
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("dtype", ["int32", "int64"])
+def test_max_scatter_values_match_target_dtype(monkeypatch, dtype):
+    spy = _MaximumSpy()
+    monkeypatch.setattr(countmin, "np", _NumpyWithSpy(spy))
+    tables = _tables(3, batches=2)
+    cm = CountMin(10, 5, conservative=True, counter_dtype=dtype)
+    for u, c in tables:
+        cm.update(u, c)
+    n_cm = len(spy.calls)
+    _occm_rounds(dtype, tables, rounds=3)
+    assert n_cm >= 2 and len(spy.calls) > n_cm
+    assert all(t == v for t, v in spy.calls), spy.calls
+
+
+# ---- dedupe_counts ------------------------------------------------------------
+
+def test_dedupe_counts_integer_exact_on_repeats():
+    big = 2**53 + 1          # float64 rounds this to 2^53
+    u, c = dedupe_counts(np.array([7, 7], np.uint64), np.array([big, big]))
+    assert u.tolist() == [7] and c.dtype == np.int64
+    assert int(c[0]) == 2 * big
+
+
+def test_dedupe_counts_sorted_table_passes_through():
+    items = np.array([1, 4, 9, 2**63], np.uint64)
+    counts = np.array([3, 1, 2, 5], np.int64)
+    u, c = dedupe_counts(items, counts)
+    assert u is items and c is counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dedupe_counts_matches_unique_reference(seed):
+    rng = np.random.default_rng(seed)
+    items = rng.integers(0, 50, 500).astype(np.uint64)
+    counts = rng.integers(0, 10, 500)
+    u, c = dedupe_counts(items, counts)
+    ref_u, inv = np.unique(items, return_inverse=True)
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(c, np.bincount(inv, weights=counts).astype(np.int64))
+
+
+def test_combiner_handover_is_sorted_unique():
+    rng = np.random.default_rng(4)
+    comb = CountCombiner(CountMin(10, 5, conservative=True))
+    for _ in range(3):
+        comb.add(rng.integers(0, 1 << 40, 2000, dtype=np.uint64))
+    u = comb.uniq
+    assert (u[1:] > u[:-1]).all()
+
+
+# ---- blocked hashing equals the unblocked formulas ----------------------------
+
+N_EDGE = 3 * HASH_BLOCK + 7
+
+
+def test_wanghash_blocked_equals_unblocked():
+    rng = np.random.default_rng(6)
+    vals = rng.integers(0, 2**63, N_EDGE, dtype=np.uint64)
+    ref = _wang_block(vals.copy())
+    assert np.array_equal(wanghash(vals), ref)
+    for i in (0, HASH_BLOCK - 1, HASH_BLOCK, 3 * HASH_BLOCK, N_EDGE - 1):
+        assert int(ref[i]) == wanghash_scalar(int(vals[i]))
+    # 2-D, strided and in-place views hash element-wise alike
+    m = vals[:2 * HASH_BLOCK + 2].reshape(2, -1)
+    assert np.array_equal(wanghash(m).ravel(), ref[:2 * HASH_BLOCK + 2])
+    assert np.array_equal(wanghash(vals[::3]), ref[::3])
+    strided = vals.copy()[::3]
+    assert np.array_equal(wanghash_inplace(strided), ref[::3])
+
+
+def test_positions_blocked_equals_unblocked():
+    rng = np.random.default_rng(5)
+    vals = rng.integers(0, 2**63, N_EDGE, dtype=np.uint64)
+    seeds = derive_seeds(7)
+    for np_bits in (12, 20):
+        mask = np.uint64((1 << np_bits) - 1)
+        ref = np.stack([(wanghash(vals ^ s) & mask).astype(np.int64) + (j << np_bits)
+                        for j, s in enumerate(seeds)], axis=1)
+        assert np.array_equal(positions(vals, seeds, np_bits), ref)
+    # rows either side of each block edge against the scalar hash
+    for i in (HASH_BLOCK - 1, HASH_BLOCK, 2 * HASH_BLOCK + 1, N_EDGE - 1):
+        p = positions(vals[i:i + 1], seeds, 12)[0]
+        assert p.tolist() == [(wanghash_scalar(int(vals[i]) ^ int(s)) & 4095) + (j << 12)
+                              for j, s in enumerate(seeds)]
+
+
+def _unblocked_windows(flat, lengths, k):
+    flat = flat.astype(np.uint64)
+    win = np.lib.stride_tricks.sliding_window_view(flat, k)
+    acc = wanghash(win[:, 0])
+    for j in range(1, k):
+        acc = wanghash(acc ^ win[:, j])
+    rowid = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    valid = rowid[:len(flat) - k + 1] == rowid[k - 1:]
+    return acc[valid], rowid[:len(flat) - k + 1][valid]
+
+
+def _edge_lengths(rng):
+    """Row lengths summing to N_EDGE with rows that straddle every block
+    edge and rows shorter than k."""
+    lens = []
+    total = 0
+    while total < N_EDGE:
+        nxt = int(rng.integers(0, 40))
+        for edge in (HASH_BLOCK, 2 * HASH_BLOCK, 3 * HASH_BLOCK):
+            if total < edge - 1 < total + nxt:
+                nxt = edge + 1 - total           # row spans edge-1 .. edge
+        nxt = min(nxt, N_EDGE - total)
+        lens.append(nxt)
+        total += nxt
+    return np.array(lens, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_token_kgrams_blocked_equal_unblocked(k):
+    rng = np.random.default_rng(k)
+    lens = _edge_lengths(rng)
+    flat = rng.integers(0, 50257, N_EDGE).astype(np.int32)
+    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
+    col = pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat))
+    batch = pa.table({"tokens": col})
+    ref_g, ref_r = _unblocked_windows(flat, lens, k)
+    g, r, nrows = token_kgram_hashes(batch, "tokens", k)
+    assert nrows == len(lens)
+    assert np.array_equal(g, ref_g) and np.array_equal(r, ref_r)
+    if k > 1:
+        assert np.array_equal(items_from_batch(batch, "tokens", k), ref_g)
+
+
+def test_word_kgrams_blocked_equal_unblocked():
+    rng = np.random.default_rng(9)
+    lens = _edge_lengths(rng)
+    words = rng.integers(0, 500, N_EDGE)
+    ends = np.cumsum(lens)
+    text = pa.array([" ".join(f"w{w}" for w in words[e - n:e])
+                     for n, e in zip(lens, ends)])
+    flat, wl = split_words_hashed(text)
+    assert len(flat) >= N_EDGE
+    ref_g, ref_r = _unblocked_windows(flat, wl, 3)
+    g, r, nrows = word_kgram_hashes(text, 3)
+    assert nrows == len(lens)
+    assert np.array_equal(g, ref_g) and np.array_equal(r, ref_r)
+
+
+# ---- npz handles are closed ---------------------------------------------------
+
+def test_repeated_model_loads_do_not_leak_descriptors(monkeypatch, tmp_path):
+    from ocm_ray.ops.classifier import LRModel, NBModel, load_classifier
+
+    lr_path, nb_path = str(tmp_path / "lr.npz"), str(tmp_path / "nb.npz")
+    LRModel(w=np.arange(8.0), b=0.5, dim=8, bigrams=False, lowercase=True,
+            epochs=1, lr=0.1, l2=0.0).save(lr_path)
+    NBModel(keys=np.arange(4, dtype=np.uint64), lp_diff=np.ones(4),
+            lp_oov=0.0, prior=0.0, vocab_size=4, alpha=1.0, lowercase=False,
+            n_pos_docs=1, n_neg_docs=1).save(nb_path)
+    # keep every handle np.load returns alive, as a long-lived process's
+    # frames or caches might: only an explicit close releases the fd
+    opened = []
+    real_load = np.load
+
+    def holding_load(*a, **k):
+        z = real_load(*a, **k)
+        opened.append(z)
+        return z
+
+    monkeypatch.setattr(np, "load", holding_load)
+
+    def nfds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = nfds()
+    for _ in range(20):
+        assert LRModel.load(lr_path).dim == 8
+        assert NBModel.load(nb_path).vocab_size == 4
+        assert isinstance(load_classifier(lr_path), LRModel)
+    assert len(opened) == 80
+    assert nfds() <= before
