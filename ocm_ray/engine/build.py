@@ -1,30 +1,27 @@
 """Distributed sketch building over ``ray.data.Dataset``.
 
-Three build paths, all producing ONE merged sketch from a token source:
+Three entry points, all producing ONE merged sketch from a token source:
 
 1. ``build_sketch_sharded`` (throughput path) — deterministic file shards;
    each task fuses pyarrow row-batch reads with its in-shard
    ``CountCombiner`` accumulation, so tokens never cross a process
-   boundary and there is no central coordinator (the streaming_split
-   SplitCoordinator caps at ~11M tokens/s regardless of CPUs; this path
-   measures 50–200M tokens/s). Shards are the same unit the checkpointed
-   builder persists.
+   boundary. Shards are the same unit the checkpointed builder persists.
 
-2. ``build_sketch`` — ``Dataset.streaming_split(P)`` feeds P accumulator
-   tasks (the pure-Dataset mode for inputs that aren't parquet files);
-   each task owns one partial sketch (state once per worker, not per
-   batch).
+2. ``build_sketch`` — any Dataset: its block refs stream out of the
+   executor and fold round-robin into P lanes of raw tasks (block j
+   into lane j % P), one partial sketch per lane.
 
 3. ``SketchAggregate`` — an ``AggregateFnV2`` UDAF so sketches compose
    with the native Dataset API: ``ds.aggregate(SketchAggregate(...))`` and
    per-key ``ds.groupby("source").aggregate(...)`` (per-source sketches).
 
-All partials — MBs each, independent of input size — tree-merge with
-fan-in 8; no token shuffle ever happens (partial+merge is salted
-pre-aggregation by construction, SURVEY §4.2). The paths are
-correctness-equivalent; order-free sketches (vanilla CM, HLL, Bloom,
-bottom-k, OCM passes) are bit-identical between them and across any
-parallelism (property-tested).
+All partials — MBs each, independent of input size — merge through
+:func:`tree_reduce`, the one fan-in-8 task tree every sketch and
+count-table merge in the package uses; no token shuffle ever happens
+(partial+merge is salted pre-aggregation by construction, SURVEY §4.2).
+The paths are correctness-equivalent; order-free sketches (vanilla CM,
+HLL, Bloom, bottom-k, OCM passes) are bit-identical between them and
+across any parallelism (property-tested).
 """
 
 from __future__ import annotations
@@ -38,141 +35,92 @@ from ray.data import Dataset
 from ray.data.aggregate import AggregateFnV2
 
 from ocm_ray.engine.tokens import items_from_batch
-from ocm_ray.sketches.base import MergeableSketch
+from ocm_ray.ops.pairs import _as_arrow, iter_block_refs
+from ocm_ray.sketches.base import (CountCombiner, MergeableSketch,
+                                   merge_sorted_counts)
 
 SketchFactory = Callable[[], MergeableSketch]
 
 
-def _default_parallelism() -> int:
-    """Consumers get HALF the CPUs (one full CPU each); the other half
-    drives the read/decode tasks. Empirically (70M-token corpus, 32-CPU
-    node): P=ncpus/2 @ 1 CPU beats P=ncpus @ 0.5 CPU by ~3x — more
-    concurrent big-sketch updaters thrash cache/memory bandwidth."""
-    n = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, n // 2)
-
-
-# ncpus/2 accumulators (see _default_parallelism) declared at HALF a CPU
-# each (rule-1 shape): a full-CPU reservation per consumer lets any stray
-# fractional actor (e.g. a 0.5-CPU map pool still draining from an earlier
-# pipeline) wedge the whole split — p consumers + 0.5 stray > ncpus−1 and
-# the read task never schedules. At 0.5 the consumers fit alongside the
-# capped read budget (_cap_split_pipeline_cpus) with slack; the perf note
-# about full-CPU consumers was about POOL WIDTH (P=ncpus/2 beats P=ncpus),
-# which is unchanged.
-@ray.remote(num_cpus=0.5)
-def _consume_split(it, factory: SketchFactory, column: str, kgram: int):
-    sk = factory()
-    for batch in it.iter_batches(batch_format="pyarrow", batch_size=None,
-                                 prefetch_batches=2):
-        sk.update(items_from_batch(batch, column, kgram))
-    return sk
-
-
 @ray.remote
-def _merge_task(*sketches: MergeableSketch) -> MergeableSketch:
-    acc = sketches[0].ensure_writable()
-    for s in sketches[1:]:
-        acc.merge(s)
+def _reduce_task(combine, *parts):
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = combine(acc, p)
     return acc
 
 
-def tree_merge(refs: List[ray.ObjectRef], fanin: int = 8) -> MergeableSketch:
-    """Reduce partial-sketch object refs with a fan-in-8 task tree —
-    log_8(P) rounds; each round moves only sketch-sized objects."""
+def tree_reduce(refs: List[ray.ObjectRef], combine,
+                fanin: int = 8) -> ray.ObjectRef:
+    """Fold object refs with a fan-in task tree — log_fanin(n) rounds of
+    ``combine(a, b)`` folds, worker-side; returns the root's ref (the
+    driver fetches only what it needs). ``combine`` must be associative;
+    each task folds its group left to right, so the result is a fixed
+    function of the order of ``refs`` (one or more)."""
     refs = list(refs)
     while len(refs) > 1:
-        refs = [_merge_task.remote(*refs[i:i + fanin])
+        refs = [_reduce_task.remote(combine, *refs[i:i + fanin])
                 for i in range(0, len(refs), fanin)]
-    return ray.get(refs[0]).ensure_writable()
+    return refs[0]
 
 
-def _cap_consumers(p: int) -> int:
-    """Never let 1-CPU consumers occupy every slot — at least a quarter of
-    the CPUs (min 1) must stay free for the read operator, or the pipeline
-    deadlocks (consumers wait on reads that can never schedule)."""
-    n = int(ray.cluster_resources().get("CPU", 8))
-    return max(1, min(p, n - max(1, n // 4)))
+def merge_sketches(a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:
+    return a.ensure_writable().merge(b)
 
 
-class _cap_split_pipeline_cpus:
-    """Context manager: cap the split pipeline's OWN CPU budget at
-    ``ncpus − ceil(P/2)`` (the P consumers reserve 0.5 CPU each) for
-    the duration of the build, then restore.
+def merge_counts(a, b):
+    """Combine two sorted (unique, count) tables."""
+    return merge_sorted_counts(*a, *b)
 
-    The consumer tasks are raw Ray tasks the Dataset executor knows
-    nothing about: if its read tasks grab every CPU first, they pause
-    on output backpressure WITHOUT releasing their CPUs (streaming
-    generators stay RUNNING while paused), the consumers can never
-    schedule, and the pipeline deadlocks silently (CLAUDE.md rule 1 —
-    the race fired in a 4-CPU test session). ``ds.context`` is
-    per-dataset but persists across re-executions of the SAME dataset
-    object, so the limit is restored on exit rather than left behind."""
 
-    def __init__(self, ds: Dataset, p: int):
-        from ray.data import ExecutionResources
+def tree_merge(refs: List[ray.ObjectRef], fanin: int = 8) -> MergeableSketch:
+    """Merge partial-sketch refs through :func:`tree_reduce`; each round
+    moves only sketch-sized objects."""
+    return ray.get(tree_reduce(refs, merge_sketches, fanin)).ensure_writable()
 
-        n = int(ray.cluster_resources().get("CPU", 8))
-        self._opts = ds.context.execution_options
-        self._old = self._opts.resource_limits
-        # minus one extra CPU of MARGIN: with exactly n - ceil(P/2) the
-        # read budget + P*0.5 consumer reservations sum to n for even P,
-        # and one lingering 0.5-CPU map-pool actor (rule 1's documented
-        # failure mode) re-creates the wedge this cap exists to prevent
-        self._opts.resource_limits = ExecutionResources.for_limits(
-            cpu=max(1, n - (p + 1) // 2 - 1))
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._opts.resource_limits = self._old
-        return False
+@ray.remote(num_cpus=1)
+def _fold_block(acc: Optional[MergeableSketch], block, factory: SketchFactory,
+                column: str, kgram: int) -> MergeableSketch:
+    sk = factory() if acc is None else acc.ensure_writable()
+    block = _as_arrow(block)
+    if block.num_rows:  # an empty block may be schema-less (rule 8b)
+        sk.update(items_from_batch(block, column, kgram))
+    return sk
 
 
 def build_sketch(ds: Dataset, factory: SketchFactory, column: str = "tokens",
                  parallelism: Optional[int] = None, kgram: int = 1) -> MergeableSketch:
-    """Stream the Dataset through P accumulator tasks → tree-merged sketch."""
-    p = _cap_consumers(parallelism or _default_parallelism())
-    with _cap_split_pipeline_cpus(ds, p):
-        splits = ds.streaming_split(p, equal=False)
-        refs = [_consume_split.remote(it, factory, column, kgram)
-                for it in splits]
-        return tree_merge(refs)  # blocks until the stream is drained
+    """Fold the Dataset's blocks into P lanes of raw tasks → tree-merged
+    sketch (P defaults to the cluster's CPU count).
+
+    Block j folds into lane j % P as the executor emits it, so the read
+    pipeline overlaps the folds and the driver holds only refs. The fold
+    tasks depend only on blocks that already exist, so they can never
+    starve the Dataset's own read tasks of CPUs (the wedge a consumer
+    pool pulling from a running pipeline can hit, rule 1). A
+    Dataset with no rows yields ``factory()``'s empty sketch."""
+    p = parallelism or int(ray.cluster_resources().get("CPU", 8))
+    lanes: List[Optional[ray.ObjectRef]] = [None] * p
+    for j, block in enumerate(iter_block_refs(ds)):
+        lanes[j % p] = _fold_block.remote(lanes[j % p], block, factory,
+                                          column, kgram)
+    refs = [r for r in lanes if r is not None]
+    return tree_merge(refs) if refs else factory()
 
 
 @ray.remote(num_cpus=1)
 def _build_file_shard(files: List[str], factory: SketchFactory, column: str,
-                      kgram: int, batch_size: int,
-                      metrics_dir: Optional[str] = None,
-                      shard_id: int = 0) -> MergeableSketch:
-    import json
-    import os
-    import time
-
+                      kgram: int, batch_size: int) -> MergeableSketch:
     import pyarrow.parquet as pq
 
-    from ocm_ray.sketches.base import CountCombiner
-
-    t0 = time.monotonic()
     comb = CountCombiner(factory())
-    rows = 0
     for f in files:
         pf = pq.ParquetFile(f)
         for rb in pf.iter_batches(batch_size=batch_size, columns=[column]):
-            t = pa.Table.from_batches([rb])
-            comb.add(items_from_batch(t, column, kgram))
-            rows += t.num_rows
-    sk = comb.finish()
-    if metrics_dir:
-        m = {"shard_id": shard_id, "files": [os.path.basename(f) for f in files],
-             "rows": rows, "items": getattr(sk, "total_items", None),
-             "wall_sec": round(time.monotonic() - t0, 4)}
-        p = os.path.join(metrics_dir, f"shard-{shard_id:05d}.json")
-        with open(p + ".tmp", "w") as fh:
-            json.dump(m, fh)
-        os.replace(p + ".tmp", p)
-    return sk
+            comb.add(items_from_batch(pa.Table.from_batches([rb]), column,
+                                      kgram))
+    return comb.finish()
 
 
 @ray.remote(num_cpus=1)
@@ -182,8 +130,6 @@ def shard_token_counts(files: List[str], column: str, kgram: int,
     pre-aggregate the multi-round driver reuses across passes."""
     import pyarrow.parquet as pq
 
-    from ocm_ray.sketches.base import CountCombiner
-
     comb = CountCombiner(None, flush_limit=1 << 62)  # pure counting, no sketch
     for f in files:
         for rb in pq.ParquetFile(f).iter_batches(batch_size=batch_size,
@@ -192,19 +138,27 @@ def shard_token_counts(files: List[str], column: str, kgram: int,
     return comb.drain_counts()
 
 
+@ray.remote(num_cpus=1)
+def block_token_counts(block, column: str, kgram: int):
+    """Exact (unique, count) table of one Dataset block."""
+    comb = CountCombiner(None, flush_limit=1 << 62)
+    block = _as_arrow(block)
+    if block.num_rows:  # an empty block may be schema-less (rule 8b)
+        comb.add(items_from_batch(block, column, kgram))
+    return comb.drain_counts()
+
+
 def build_sketch_sharded(files: List[str], factory: SketchFactory,
                          column: str = "tokens", shards: Optional[int] = None,
-                         kgram: int = 1, batch_size: int = 65536,
-                         metrics_dir: Optional[str] = None) -> MergeableSketch:
+                         kgram: int = 1, batch_size: int = 65536) -> MergeableSketch:
     """Fused read+accumulate over file shards — the throughput path.
 
     Each task streams its own Parquet files through pyarrow row-batch
-    iteration directly into its sketch: no object-store round trip, no
-    central split coordinator (which caps the streaming_split path at
-    ~11M tokens/s regardless of CPU count — measured 5-6x slower than
-    this). Shards are deterministic round-robin file groups, the same
-    unit the checkpointed builder persists, so results are bit-identical
-    to every other build path for order-free sketches.
+    iteration directly into its sketch: no object-store round trip for
+    tokens and no read operator. Shards are deterministic round-robin
+    file groups, the same unit the checkpointed builder persists, so
+    results are bit-identical to every other build path for order-free
+    sketches.
 
     Partial-counter dtype note: pass a factory with
     ``counter_dtype='int32'`` when every shard's counts fit int32 —
@@ -225,14 +179,9 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     # Callers with tiny sketches can pass shards=n.
     default = n if n <= 8 else max(8, n // 2)
     p = max(1, min(shards or default, len(files)))
-    groups = [files[i::p] for i in range(p)]
-    if metrics_dir:
-        import os
-
-        os.makedirs(metrics_dir, exist_ok=True)
-    refs = [_build_file_shard.remote(g, factory, column, kgram, batch_size,
-                                     metrics_dir, i)
-            for i, g in enumerate(groups)]
+    refs = [_build_file_shard.remote(files[i::p], factory, column, kgram,
+                                     batch_size)
+            for i in range(p)]
     return tree_merge(refs)
 
 
@@ -255,10 +204,9 @@ class SketchAggregate(AggregateFnV2):
 
     def aggregate_block(self, block) -> MergeableSketch:
         # V2 contract: produce a fresh partial per block; `combine` merges.
-        if not isinstance(block, pa.Table):
-            block = pa.Table.from_pandas(block)
         sk = self._factory()
-        sk.update(items_from_batch(block, self.get_target_column(), self._kgram))
+        sk.update(items_from_batch(_as_arrow(block), self.get_target_column(),
+                                   self._kgram))
         return sk
 
     def combine(self, a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:

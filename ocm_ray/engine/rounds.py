@@ -18,68 +18,29 @@ stream cannot do. Per round r (``main.cpp:35-62`` non-conservative,
         collision=max. Order-dependent → sandwiched
         (true ≤ est ≤ vanilla-CM), tested.
 
-Two execution modes:
-  * ``files=...`` (throughput path): ONE corpus scan builds per-shard
-    exact (token, count) tables cached in the object store; every pass
-    of every round then folds the cached tables (grouped ≤8 pass tasks)
-    — the reference's 2n−1 re-reads disappear entirely.
-  * ``dataset_factory=...``: each pass re-streams a fresh Dataset via
-    ``streaming_split`` accumulator tasks (the mode for corpora whose
-    count tables exceed the object store).
-The only cross-round state is the broadcast sketch arrays (``ray.put``
-once per round, read zero-copy by every task).
+One pass engine, two scan sources. The corpus is scanned ONCE into
+exact (token, count) tables cached in the object store — per file shard
+with ``files=...`` (``build.shard_token_counts``, the throughput path),
+per Dataset block with ``dataset_factory=...``
+(``build.block_token_counts``) — and every pass of every round folds
+those cached tables (grouped ≤8 pass tasks); the reference's 2n−1
+re-reads disappear entirely. The only cross-round state is the
+broadcast sketch arrays (``ray.put`` once per pass, read zero-copy by
+every task).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ocm_ray.engine.build import (_cap_split_pipeline_cpus,
-                                  _default_parallelism, tree_merge)
-from ocm_ray.engine.tokens import items_from_batch
+from ocm_ray.engine.build import (block_token_counts, merge_counts,
+                                  merge_sketches, tree_reduce)
+from ocm_ray.ops.pairs import iter_block_refs
 from ocm_ray.sketches.countmin import OfflineCountMin
-
-
-def _apply_pass(sk: OfflineCountMin, items, mode: str, round_no: int,
-                total_round: int, frozen_core, frozen_coll) -> None:
-    if mode == "collision":
-        sk.update_collision(items, round_no, frozen_core=frozen_core,
-                            frozen_collision=frozen_coll)
-    elif mode == "count":
-        sk.update_count(items, frozen_collision=frozen_coll)
-    elif mode == "paper_sweep":
-        # the reference's CODED r>0 "collision pass" (main.cpp:69-75): the
-        # function pointer still targets update_count_collision and
-        # total_round arrives as 0, so collision writes are suppressed
-        # (ocm.h:338) and the core writes are wiped by clear_core()
-        sk.update_count_collision(items, round_no, 0)
-    else:  # fused occm
-        sk.update_count_collision(items, round_no, total_round)
-
-
-# half a CPU, capped count — same deadlock-proof shape as
-# build._consume_split (full-CPU consumers + any stray fractional actor
-# can starve the capped read task)
-@ray.remote(num_cpus=0.5)
-def _round_pass(it, np_bits: int, nh: int, seedseed: int, conservative: bool,
-                mode: str, round_no: int, total_round: int,
-                frozen_core, frozen_coll, column: str, kgram: int,
-                counter_dtype: str = "int64"):
-    # frozen_core / frozen_coll arrive as ObjectRef task args → Ray delivers
-    # them zero-copy from the shared object store (put once per round by the
-    # driver, read by every task — the broadcast pattern).
-    sk = OfflineCountMin(np_bits, nh, seedseed, conservative=conservative,
-                         counter_dtype=counter_dtype)
-    if frozen_coll is not None:
-        sk.collision[:] = frozen_coll
-    for batch in it.iter_batches(batch_format="pyarrow", batch_size=None,
-                                 prefetch_batches=2):
-        items = items_from_batch(batch, column, kgram)
-        _apply_pass(sk, items, mode, round_no, total_round, frozen_core, frozen_coll)
-    return sk
 
 
 @ray.remote(num_cpus=1)
@@ -87,16 +48,8 @@ def _count_table_len(tbl) -> int:
     return len(tbl[0])
 
 
-@ray.remote(num_cpus=1)
-def _merge_count_tables(*tables):
-    """Fold several sorted (unique, count) tables into one (worker-side;
-    the driver only ever holds the ObjectRef)."""
-    from ocm_ray.sketches.base import merge_sorted_counts
-
-    u, c = tables[0]
-    for u2, c2 in tables[1:]:
-        u, c = merge_sorted_counts(u, c, u2, c2)
-    return u, c
+def _merge_collision(a: OfflineCountMin, b: OfflineCountMin) -> OfflineCountMin:
+    return a.ensure_writable().merge_collision(b)
 
 
 @ray.remote(num_cpus=1)
@@ -106,21 +59,18 @@ def _round_pass_counts(shard_counts, np_bits: int, nh: int, seedseed: int,
                        counter_dtype: str = "int64"):
     """One round pass over a shard's cached (unique, count) table.
 
-    The corpus is scanned ONCE (build.shard_token_counts); every pass of
-    every round then operates on the shard's exact grouped multiset —
-    bit-identical for the order-free OCM passes (masked scatter-add /
-    frozen-read marking are functions of the multiset), and equal to the
-    documented grouped-conservative semantics for the fused OCCM pass
-    (each shard's occurrences processed token-grouped). This removes the
-    reference's 2n-1 re-reads entirely; at scales where the count tables
-    don't fit the object store, drive ``build_ocm`` with
-    ``dataset_factory=`` instead of ``files=`` — that path streams the
-    corpus per pass instead of caching count tables.
+    The corpus is scanned ONCE (``build.shard_token_counts`` or
+    ``build.block_token_counts``); every pass of every round then
+    operates on the shard's exact grouped multiset — bit-identical for
+    the order-free OCM passes (masked scatter-add / frozen-read marking
+    are functions of the multiset), and equal to the documented
+    grouped-conservative semantics for the fused OCCM pass (each shard's
+    occurrences processed token-grouped). This removes the reference's
+    2n-1 re-reads entirely.
     """
     # refs nested inside a list are NOT auto-resolved by Ray — fetch them
     # (zero-copy from the shared store; the tables were put once)
-    if shard_counts and isinstance(shard_counts[0], ray.ObjectRef):
-        shard_counts = ray.get(list(shard_counts))
+    shard_counts = ray.get(list(shard_counts))
     sk = OfflineCountMin(np_bits, nh, seedseed, conservative=conservative,
                          counter_dtype=counter_dtype)
     if frozen_coll is not None:
@@ -149,23 +99,18 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
               kgram: int = 1, parallelism: Optional[int] = None,
               on_round_end: Optional[Callable] = None,
               resume_from: Optional[tuple] = None,
-              materialize: bool = False,
               files: Optional[list] = None,
               partial_counter_dtype: str = "int64",
               paper_collision_pass: bool = False,
               collapse_threshold: int = 1 << 22,
               metrics: Optional[dict] = None) -> OfflineCountMin:
-    """n-round offline count-min over a re-scannable Dataset.
+    """n-round offline count-min over a Dataset or Parquet files.
 
-    ``dataset_factory`` returns a FRESH lazy Dataset per pass (each pass
-    re-reads the Parquet source — the streaming executor never holds the
-    corpus in memory). ``on_round_end(round, sketch)`` is the checkpoint
-    hook (see engine.checkpoint.RoundCheckpointer).
-
-    ``materialize=True`` pins the token Dataset in the object store once
-    and reuses it for every pass — only for corpora that fit the store
-    (2n-1x fewer reads/decodes); leave False at full scale, where the
-    offline algorithm's re-scans stream from Parquet.
+    The corpus is scanned once: ``files`` into ``parallelism`` file
+    shards (default: the cluster's CPU count; ``parallelism`` sizes only
+    this scan), or else ``dataset_factory()`` — called once — into one
+    count table per block. ``on_round_end(round, sketch)`` is the
+    checkpoint hook (see engine.checkpoint.RoundCheckpointer).
 
     NOTE on ``collapse_threshold`` (ADVICE r3 #3): the bounded-vocab
     collapse changes the GROUPING the conservative/OCCM update sees —
@@ -181,7 +126,7 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
     crossing it only ever switches between these two valid groupings.
 
     ``metrics`` (VERDICT r4 #2): pass a dict to receive build
-    attribution — ``plan`` ("collapse" | "sharded" | "streaming"),
+    attribution — ``plan`` ("collapse" | "sharded"),
     ``count_tables`` (tables per pass after any collapse),
     ``table_rows`` (summed per-shard table lengths), and
     ``pass_walls`` (wall seconds per pass, in execution order) — so a
@@ -189,12 +134,7 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
     selection vs a degraded window in one read.
     """
     import time as _time
-    from ocm_ray.engine.build import _cap_consumers
 
-    p = _cap_consumers(parallelism or _default_parallelism())
-    if materialize:
-        pinned = dataset_factory().materialize()
-        dataset_factory = lambda: pinned  # noqa: E731
     glob = OfflineCountMin(np_bits, nh, seedseed, conservative=conservative)
     start_round = 0
     if resume_from is not None:
@@ -204,79 +144,58 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
         glob = ckpt.ensure_writable()
         start_round = last + 1
 
-    count_refs = None
+    # single corpus scan → cached exact count tables (every subsequent
+    # pass reads these, not the source)
     if files is not None:
+        # looked up per call: perfbench swaps a traced stand-in into build
         from ocm_ray.engine.build import shard_token_counts
 
         files = sorted(files)
         n_cpu = int(ray.cluster_resources().get("CPU", 8))
         p_files = max(1, min(parallelism or n_cpu, len(files)))
-        shard_groups = [files[i::p_files] for i in range(p_files)]
-        # single corpus scan → cached per-shard exact count tables
-        # (vocab-bounded; every subsequent pass reads these, not Parquet)
-        count_refs = [shard_token_counts.remote(g, column, kgram)
-                      for g in shard_groups]
-        # bounded-vocab collapse: token-id domains make every shard's
-        # table cover nearly the whole vocabulary, so 2n passes would
-        # each pay P sketch-sized partials + a 100s-of-MB tree merge to
-        # re-aggregate the SAME few-MB multiset. Fold the tables into
-        # ONE global (unique, count) table worker-side (tree of sorted
-        # merges) and run each pass as a single task with no merge.
-        # Skipped for unbounded domains (k-grams / hashes): there the
-        # global table is corpus-sized and the sharded path stands.
-        sizes = ray.get([_count_table_len.remote(r) for r in count_refs])
-        collapsed = sum(sizes) <= collapse_threshold
-        if collapsed:
-            while len(count_refs) > 1:
-                count_refs = [_merge_count_tables.remote(*count_refs[i:i + 8])
-                              for i in range(0, len(count_refs), 8)]
-        if metrics is not None:
-            metrics["plan"] = "collapse" if collapsed else "sharded"
-            metrics["count_tables"] = len(count_refs)
-            metrics["table_rows"] = int(sum(sizes))
-    elif metrics is not None:
-        metrics["plan"] = "streaming"
+        count_refs = [shard_token_counts.remote(files[i::p_files], column,
+                                                kgram)
+                      for i in range(p_files)]
+    else:
+        count_refs = [block_token_counts.remote(b, column, kgram)
+                      for b in iter_block_refs(dataset_factory())]
+        if not count_refs:  # a Dataset with no blocks: one empty table
+            count_refs = [block_token_counts.remote(pa.table({}), column,
+                                                    kgram)]
+    # bounded-vocab collapse: token-id domains make every shard's table
+    # cover nearly the whole vocabulary, so 2n passes would each pay P
+    # sketch-sized partials + a 100s-of-MB tree merge to re-aggregate
+    # the SAME few-MB multiset. Fold the tables into ONE global
+    # (unique, count) table worker-side and run each pass as a single
+    # task with no merge. Skipped for unbounded domains (k-grams /
+    # hashes): there the global table is corpus-sized and the sharded
+    # path stands.
+    sizes = ray.get([_count_table_len.remote(r) for r in count_refs])
+    collapsed = sum(sizes) <= collapse_threshold
+    if collapsed:
+        count_refs = [tree_reduce(count_refs, merge_counts)]
+    if metrics is not None:
+        metrics["plan"] = "collapse" if collapsed else "sharded"
+        metrics["count_tables"] = len(count_refs)
+        metrics["table_rows"] = int(sum(sizes))
 
     def run_pass(mode: str, r: int, frozen_core, frozen_coll):
         t0 = _time.perf_counter()
-        try:
-            return _run_pass(mode, r, frozen_core, frozen_coll)
-        finally:
-            if metrics is not None:
-                metrics.setdefault("pass_walls", []).append(
-                    round(_time.perf_counter() - t0, 3))
-
-    def _run_pass(mode: str, r: int, frozen_core, frozen_coll):
         core_ref = ray.put(frozen_core) if frozen_core is not None else None
         coll_ref = ray.put(frozen_coll)
-        if count_refs is not None:
-            # ≤8 pass tasks regardless of scan width: each folds several
-            # cached count tables before emitting one partial sketch
-            fan = max(1, (len(count_refs) + 7) // 8)
-            groups_of_refs = [count_refs[i:i + fan]
-                              for i in range(0, len(count_refs), fan)]
-            refs = [_round_pass_counts.remote(grp, np_bits, nh, seedseed,
-                                              conservative, mode, r, rounds,
-                                              core_ref, coll_ref,
-                                              partial_counter_dtype)
-                    for grp in groups_of_refs]
-        else:
-            pass_ds = dataset_factory()
-            # hold the read-budget cap until the consumers drain the
-            # stream (the tree merge blocks on them), then restore
-            with _cap_split_pipeline_cpus(pass_ds, p):
-                splits = pass_ds.streaming_split(p, equal=False)
-                refs = [_round_pass.remote(it, np_bits, nh, seedseed,
-                                           conservative, mode, r, rounds,
-                                           core_ref, coll_ref, column,
-                                           kgram, partial_counter_dtype)
-                        for it in splits]
-                return (tree_merge_collision(refs) if mode == "collision"
-                        else tree_merge(refs))
-        if mode == "collision":
-            merged = tree_merge_collision(refs)
-        else:
-            merged = tree_merge(refs)
+        # ≤8 pass tasks regardless of scan width: each folds several
+        # cached count tables before emitting one partial sketch
+        fan = max(1, (len(count_refs) + 7) // 8)
+        refs = [_round_pass_counts.remote(count_refs[i:i + fan], np_bits, nh,
+                                          seedseed, conservative, mode, r,
+                                          rounds, core_ref, coll_ref,
+                                          partial_counter_dtype)
+                for i in range(0, len(count_refs), fan)]
+        combine = _merge_collision if mode == "collision" else merge_sketches
+        merged = ray.get(tree_reduce(refs, combine)).ensure_writable()
+        if metrics is not None:
+            metrics.setdefault("pass_walls", []).append(
+                round(_time.perf_counter() - t0, 3))
         return merged
 
     for r in range(start_round, rounds):
@@ -302,19 +221,3 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
         if on_round_end is not None:
             on_round_end(r, glob)
     return glob
-
-
-@ray.remote
-def _merge_collision_task(*sketches):
-    acc = sketches[0].ensure_writable()
-    for s in sketches[1:]:
-        acc.merge_collision(s)
-    return acc
-
-
-def tree_merge_collision(refs, fanin: int = 8):
-    refs = list(refs)
-    while len(refs) > 1:
-        refs = [_merge_collision_task.remote(*refs[i:i + fanin])
-                for i in range(0, len(refs), fanin)]
-    return ray.get(refs[0]).ensure_writable()

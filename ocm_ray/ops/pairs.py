@@ -228,8 +228,7 @@ def shard_scan(ds: Dataset, shard_fn, scan_fn, n_shards: int) -> Dataset:
     if n_shards == 1:
         # single shard needs no split wave at all — launching split
         # tasks would ray.put-copy every block for nothing
-        block_refs = [bref for bundle in ds.iter_internal_ref_bundles()
-                      for bref in bundle.block_refs]
+        block_refs = list(iter_block_refs(ds))
         if not block_refs:
             return rd.from_arrow(scan_fn(_arrow_schema(ds).empty_table()))
 
@@ -263,15 +262,23 @@ def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-def _streamed_splits(ds: Dataset, split_task):
-    """Iterate ``ds``'s internal ref bundles (streaming — bundles appear
-    as the executor produces them) and launch one split task per block
-    immediately. Returns (block_refs, split_result_refs)."""
-    block_refs, split_refs = [], []
+def iter_block_refs(ds: Dataset):
+    """``ds``'s block refs, streamed: each appears as the executor
+    produces it, so work launched per block overlaps the upstream
+    pipeline and the driver holds only refs. Blocks may be pandas or
+    schema-less and empty (rule 8b) — pass them through
+    :func:`_as_arrow` and guard ``num_rows`` before reading columns."""
     for bundle in ds.iter_internal_ref_bundles():
-        for bref in bundle.block_refs:
-            block_refs.append(bref)
-            split_refs.append(split_task.remote(bref))
+        yield from bundle.block_refs
+
+
+def _streamed_splits(ds: Dataset, split_task):
+    """Launch one split task per block as :func:`iter_block_refs` yields
+    it. Returns (block_refs, split_result_refs)."""
+    block_refs, split_refs = [], []
+    for b in iter_block_refs(ds):
+        block_refs.append(b)
+        split_refs.append(split_task.remote(b))
     return block_refs, split_refs
 
 

@@ -51,30 +51,20 @@ def exact_token_counts_sharded(files: List[str], column: str = "tokens",
     """Exact token counts over Parquet file shards via the fused
     read+count path (CLAUDE.md rule 4: each task streams its own files
     through ``CountCombiner`` — no read operator, no inter-operator
-    object-store hop) + a fan-in-8 task tree of sorted-count merges.
+    object-store hop) + the shared ``tree_reduce`` of sorted-count merges.
     Same result as :func:`exact_token_counts` (parity-tested); wall
     time is comparable at sf0.1 (both read-bound) — this variant exists
     for file-shard callers (the multi-round driver's cache shape) and
     avoids the Dataset AllToAll repartition tree entirely."""
-    from ocm_ray.engine.build import shard_token_counts
-    from ocm_ray.sketches.base import merge_sorted_counts
-
-    @ray.remote(num_cpus=1)
-    def merge_tabs(*tabs):
-        u, c = tabs[0]
-        for u2, c2 in tabs[1:]:
-            u, c = merge_sorted_counts(u, c, u2, c2)
-        return u, c
+    from ocm_ray.engine.build import (merge_counts, shard_token_counts,
+                                      tree_reduce)
 
     files = sorted(files)
     n = int(ray.cluster_resources().get("CPU", 8))
     p = max(1, min(n, len(files)))
-    groups = [files[i::p] for i in range(p)]
-    refs = [shard_token_counts.remote(g, column, kgram) for g in groups]
-    while len(refs) > 1:
-        refs = [merge_tabs.remote(*refs[i:i + 8])
-                for i in range(0, len(refs), 8)]
-    u, c = ray.get(refs[0])
+    refs = [shard_token_counts.remote(files[i::p], column, kgram)
+            for i in range(p)]
+    u, c = ray.get(tree_reduce(refs, merge_counts))
     return pa.table({"token": pa.array(u.astype(np.int32)),
                      "cnt": pa.array(c.astype(np.int64))})
 

@@ -64,21 +64,66 @@ def test_build_sketch_matches_exact(seq_dir, truth):
 
 
 def test_build_sketch_parallelism_invariant(seq_dir):
-    """Order-free sketches must be bit-identical at any parallelism."""
+    """Order-free sketches must be bit-identical at any parallelism and
+    across build paths: the Dataset block fold equals the file-shard
+    build byte for byte."""
+    import ray.data as rd
+
+    from ocm_ray.engine.build import build_sketch, build_sketch_sharded
+    from ocm_ray.sketches import BloomFilter, CountMin, HyperLogLog
+
+    files = sorted(glob.glob(os.path.join(seq_dir, "*.parquet")))
+    for factory in (lambda: CountMin(14, 3), lambda: HyperLogLog(12),
+                    lambda: BloomFilter(16, 4)):
+        want = build_sketch_sharded(files, factory).to_bytes()
+        for p in (2, 5):
+            got = build_sketch(rd.read_parquet(seq_dir, columns=["tokens"]),
+                               factory, parallelism=p)
+            assert got.to_bytes() == want, (type(got).__name__, p)
+
+
+def test_block_fold_edge_inputs(seq_dir):
+    """The block fold behind build_sketch and build_ocm(dataset_factory=)
+    takes a Dataset filtered to zero rows, one with no blocks at all, a
+    schema-less empty block (rule 8b), and pandas blocks."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
     import ray.data as rd
 
     from ocm_ray.engine.build import build_sketch
-    from ocm_ray.sketches import CountMin, HyperLogLog
+    from ocm_ray.engine.rounds import build_ocm
+    from ocm_ray.sketches import CountMin
 
-    states = []
-    for p in (2, 4):
-        ds = rd.read_parquet(seq_dir, columns=["tokens"])
-        cm = build_sketch(ds, lambda: CountMin(14, 3), parallelism=p)
-        hll = build_sketch(rd.read_parquet(seq_dir, columns=["tokens"]),
-                           lambda: HyperLogLog(12), parallelism=p)
-        states.append((cm.core.copy(), hll.registers.copy()))
-    assert np.array_equal(states[0][0], states[1][0])
-    assert np.array_equal(states[0][1], states[1][1])
+    def both(make_ds, column="tokens"):
+        cm = build_sketch(make_ds(), lambda: CountMin(14, 3), column=column,
+                          parallelism=3)
+        oc = build_ocm(make_ds, np_bits=13, nh=3, rounds=2,
+                       conservative=False, column=column)
+        return cm, oc
+
+    for make in (lambda: rd.read_parquet(seq_dir, columns=["tokens", "n_tok"])
+                 .filter(expr="n_tok < 0"),
+                 lambda: rd.read_parquet(seq_dir, columns=["tokens"]).limit(0)):
+        cm, oc = both(make)
+        assert cm.total_items == 0 and not cm.core.any()
+        assert oc.total_items == 0 and not oc.core.any()
+
+    t = pq.read_table(os.path.join(seq_dir, "part-00000.parquet"),
+                      columns=["tokens"])
+    n = sum(len(x) for x in t.column("tokens").to_pylist())
+    cm, oc = both(lambda: rd.from_arrow_refs(
+        [ray.put(t), ray.put(pa.table({})), ray.put(t)]))
+    assert cm.total_items == oc.total_items == 2 * n
+
+    toks = np.concatenate(t.column("tokens").to_pylist()).astype(np.int64)
+    pdf = pd.DataFrame({"token": toks})
+    cm, oc = both(lambda: rd.from_pandas([pdf.iloc[:500], pdf.iloc[500:]]),
+                  column="token")
+    assert cm.total_items == oc.total_items == len(toks)
+    u, c = np.unique(toks, return_counts=True)
+    assert (cm.estimate(u.astype(np.uint64)) >= c).all()
 
 
 def test_aggregate_udaf(seq_dir, truth):
@@ -346,8 +391,8 @@ def test_engine_parquet_matches_reference_binary(reference_binaries, parity_fast
 
 
 def test_ocm_files_path_matches_dataset_path(seq_dir):
-    """The cached-counts files path and the streaming dataset path produce
-    identical non-conservative OCM state (frozen-read passes are pure
+    """The file-shard scan and the Dataset block scan produce identical
+    non-conservative OCM state (frozen-read passes are pure
     functions of the multiset)."""
     import ray.data as rd
 
@@ -462,9 +507,9 @@ def test_occm_paper_collision_pass_is_noop(seq_dir):
     from ocm_ray.engine.rounds import build_ocm
 
     # files path: deterministic per-shard count tables, so the two
-    # builds see IDENTICAL streams (streaming_split may assign blocks
-    # differently across executions, and OCCM is order-dependent — the
-    # byte-identity claim needs a deterministic substrate)
+    # builds see IDENTICAL streams (a Dataset's block order may differ
+    # across executions, and OCCM is order-dependent — the byte-identity
+    # claim needs a deterministic substrate)
     files = sorted(_glob.glob(_os.path.join(seq_dir, "*.parquet")))
     eff = build_ocm(np_bits=13, nh=3, rounds=3, conservative=True,
                     files=files)
@@ -475,14 +520,13 @@ def test_occm_paper_collision_pass_is_noop(seq_dir):
     assert eff.n_items == paper.n_items
 
 
-def test_streaming_split_survives_stray_fractional_actor(seq_dir, truth):
-    """Deadlock regression (round 4): full-CPU split consumers + ANY stray
-    fractional-CPU actor (e.g. a map-pool worker still draining from an
-    earlier pipeline) used to leave < 1 CPU for the capped read task —
-    reads paused on output backpressure hold their CPU, consumers wait on
-    reads, and the pipeline wedges silently. Consumers now declare 0.5
-    CPU and the split pipeline's own read budget is capped
-    (_cap_split_pipeline_cpus), so this completes with the stray alive."""
+def test_block_fold_survives_stray_fractional_actor(seq_dir, truth):
+    """Deadlock regression (round 4): the streaming_split consumers this
+    fold replaced wedged silently when a stray fractional-CPU actor (e.g.
+    a map-pool worker still draining from an earlier pipeline) left < 1
+    CPU for a read task paused on backpressure. Fold tasks depend only on
+    blocks that already exist, so both Dataset builds complete over a
+    filtered read with the stray alive."""
     import ray
     import ray.data as rd
 
@@ -497,14 +541,16 @@ def test_streaming_split_survives_stray_fractional_actor(seq_dir, truth):
 
     stray = _Stray.remote()
     ray.get(stray.ping.remote())  # holds 0.5 of the 4 fixture CPUs
+    # every document has tokens, so the filter keeps the whole corpus
+    factory = lambda: rd.read_parquet(  # noqa: E731
+        seq_dir, columns=["tokens", "n_tok"]).filter(expr="n_tok > 0")
     try:
-        cm = build_sketch(rd.read_parquet(seq_dir, columns=["tokens"]),
-                          lambda: CountMin(14, 3), parallelism=3)
+        cm = build_sketch(factory(), lambda: CountMin(14, 3), parallelism=3)
+        assert cm.total_items == truth.true_count.sum()
         est = cm.estimate(truth.token.values.astype(np.uint64))
         assert (est >= truth.true_count.values).all()
-        factory = lambda: rd.read_parquet(seq_dir, columns=["tokens"])
         oc = build_ocm(factory, np_bits=13, nh=3, rounds=2,
-                       conservative=False, parallelism=4)
+                       conservative=False)
         est = oc.estimate(truth.token.values.astype(np.uint64))
         assert (est >= truth.true_count.values).all()
     finally:
