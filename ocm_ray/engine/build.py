@@ -5,7 +5,9 @@ Three entry points, all producing ONE merged sketch from a token source:
 1. ``build_sketch_sharded`` (throughput path) — deterministic file shards;
    each task fuses pyarrow row-batch reads with its in-shard
    ``CountCombiner`` accumulation, so tokens never cross a process
-   boundary. Shards are the same unit the checkpointed builder persists.
+   boundary. ``engine.checkpoint.build_sketch_checkpointed`` runs the
+   same shard task over the same shard plan and persists each partial,
+   so the two are byte-identical at equal shard counts.
 
 2. ``build_sketch`` — any Dataset: its block refs stream out of the
    executor and fold round-robin into P lanes of raw tasks (block j

@@ -7,15 +7,20 @@ Design (deterministic, idempotent):
   * the input is split into SHARDS = groups of whole Parquet files
     (files are the reference's unit of determinism — a shard's content
     is a pure function of its file list, unlike streaming splits);
-  * one Ray task per shard streams the shard's row groups through
-    pyarrow (no full-file materialization), builds one partial sketch,
-    and writes it ATOMICALLY (tmp + rename) to
-    ``{dir}/partial-{shard:05d}.sk`` next to a lineage JSON recording
-    the shard's files, sizes, row counts, item counts and wall time;
+  * each stale shard runs the sharded build's own shard task
+    (``build._build_file_shard``: fused Parquet read + ``CountCombiner``),
+    then a small save task writes its partial ATOMICALLY (tmp + rename)
+    to ``{dir}/partial-{shard:05d}.sk`` next to a lineage JSON recording
+    the shard id, its files, their input fingerprint and their row count
+    (from the Parquet footers);
   * resume = skip shards whose partial exists AND whose input
     fingerprint matches; only missing/stale shards re-run;
-  * the merged sketch is written last (``merged.sk``) with the run
-    manifest.
+  * the shard partials tree-merge in shard-id order and the merged
+    sketch is written last (``merged.sk``) with the run manifest.
+
+Same shard plan (``files[i::n]``), same shard task, same merge order:
+at equal shard counts the merged sketch is byte-identical to
+``build_sketch_sharded``'s for every sketch kind, resumed or not.
 
 Retry safety: shard tasks are deterministic functions of (files,
 factory params) ⇒ Ray task retries and job-level resume produce
@@ -27,14 +32,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import List, Optional
 
 import pyarrow.parquet as pq
 import ray
 
-from ocm_ray.engine.build import tree_merge
-from ocm_ray.engine.tokens import items_from_batch
+from ocm_ray.engine import build
 from ocm_ray.sketches.base import MergeableSketch
 
 
@@ -50,42 +53,18 @@ def _fingerprint(files: List[str]) -> str:
     return ";".join(parts)
 
 
-@ray.remote
-def _build_shard(files: List[str], factory, column: str, kgram: int,
-                 shard_id: int, ckpt_dir: str) -> str:
-    t0 = time.monotonic()
-    sk = factory()
-    rows = 0
-    items = 0
-    for f in files:
-        pf = pq.ParquetFile(f)
-        cols = [column]
-        for batch in pf.iter_batches(batch_size=65536, columns=cols):
-            import pyarrow as pa
+def _atomic_write(path: str, data: bytes) -> None:
+    with open(path + ".tmp", "wb") as fh:
+        fh.write(data)
+    os.replace(path + ".tmp", path)
 
-            t = pa.Table.from_batches([batch])
-            arr = items_from_batch(t, column, kgram)
-            sk.update(arr)
-            rows += t.num_rows
-            items += len(arr)
-    path = os.path.join(ckpt_dir, f"partial-{shard_id:05d}.sk")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(sk.to_bytes())
-    os.replace(tmp, path)
-    lineage = {
-        "shard_id": shard_id,
-        "files": [os.path.basename(f) for f in files],
-        "fingerprint": _fingerprint(files),
-        "rows": rows,
-        "items": items,
-        "wall_sec": round(time.monotonic() - t0, 4),
-    }
-    lpath = os.path.join(ckpt_dir, f"lineage-{shard_id:05d}.json")
-    with open(lpath + ".tmp", "w") as fh:
-        json.dump(lineage, fh)
-    os.replace(lpath + ".tmp", lpath)
-    return path
+
+@ray.remote
+def _save_partial(sk: MergeableSketch, path: str, lineage: dict) -> None:
+    _atomic_write(path, sk.to_bytes())
+    lpath = os.path.join(os.path.dirname(path),
+                         f"lineage-{lineage['shard_id']:05d}.json")
+    _atomic_write(lpath, json.dumps(lineage).encode())
 
 
 @ray.remote
@@ -105,48 +84,48 @@ def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
     os.makedirs(ckpt_dir, exist_ok=True)
     files = sorted(files)
     n_shards = min(shards or max(1, len(files)), len(files))
-    groups: List[List[str]] = [[] for _ in range(n_shards)]
-    for i, f in enumerate(files):
-        groups[i % n_shards].append(f)
 
-    pending = []
-    done_paths = []
-    for sid, grp in enumerate(groups):
+    refs, saves, resumed = [], [], 0
+    for sid in range(n_shards):
+        grp = files[sid::n_shards]
         ppath = os.path.join(ckpt_dir, f"partial-{sid:05d}.sk")
         lpath = os.path.join(ckpt_dir, f"lineage-{sid:05d}.json")
+        fp = _fingerprint(grp)
         fresh = False
         if resume and os.path.exists(ppath) and os.path.exists(lpath):
             try:
-                lineage = json.load(open(lpath))
-                fresh = lineage.get("fingerprint") == _fingerprint(grp)
+                fresh = json.load(open(lpath)).get("fingerprint") == fp
             except (json.JSONDecodeError, OSError):
-                fresh = False
+                pass
         if fresh:
-            done_paths.append(ppath)
-        else:
-            pending.append((sid, grp))
+            refs.append(_load_partial.remote(ppath))
+            resumed += 1
+            continue
+        # batch_size = build_sketch_sharded's default: same task, same bytes
+        ref = build._build_file_shard.remote(grp, factory, column, kgram,
+                                             65536)
+        lineage = {
+            "shard_id": sid,
+            "files": [os.path.basename(f) for f in grp],
+            "fingerprint": fp,
+            "rows": sum(pq.read_metadata(f).num_rows for f in grp),
+        }
+        saves.append(_save_partial.remote(ref, ppath, lineage))
+        refs.append(ref)
 
-    new_paths = ray.get([
-        _build_shard.remote(grp, factory, column, kgram, sid, ckpt_dir)
-        for sid, grp in pending
-    ])
-    all_paths = sorted(done_paths + list(new_paths))
-    merged = tree_merge([_load_partial.remote(p) for p in all_paths])
-
-    mpath = os.path.join(ckpt_dir, "merged.sk")
-    with open(mpath + ".tmp", "wb") as fh:
-        fh.write(merged.to_bytes())
-    os.replace(mpath + ".tmp", mpath)
+    merged = build.tree_merge(refs)
+    ray.get(saves)
+    _atomic_write(os.path.join(ckpt_dir, "merged.sk"), merged.to_bytes())
     manifest = {
         "n_shards": n_shards,
-        "resumed_shards": len(done_paths),
-        "built_shards": len(pending),
+        "resumed_shards": resumed,
+        "built_shards": n_shards - resumed,
         "files": [os.path.basename(f) for f in files],
         "column": column,
         "kgram": kgram,
     }
-    with open(os.path.join(ckpt_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    _atomic_write(os.path.join(ckpt_dir, "manifest.json"),
+                  json.dumps(manifest, indent=1).encode())
     return merged
 
 
@@ -179,15 +158,11 @@ class RoundCheckpointer:
                 for f in os.listdir(ckpt_dir):
                     if f.startswith("round-") and f.endswith(".sk"):
                         os.remove(os.path.join(ckpt_dir, f))
-            with open(ppath + ".tmp", "w") as fh:
-                json.dump(params, fh, sort_keys=True)
-            os.replace(ppath + ".tmp", ppath)
+            _atomic_write(ppath, json.dumps(params, sort_keys=True).encode())
 
     def __call__(self, round_no: int, sketch) -> None:
-        p = os.path.join(self.dir, f"round-{round_no:02d}.sk")
-        with open(p + ".tmp", "wb") as fh:
-            fh.write(sketch.to_bytes())
-        os.replace(p + ".tmp", p)
+        _atomic_write(os.path.join(self.dir, f"round-{round_no:02d}.sk"),
+                      sketch.to_bytes())
 
     def last_completed(self) -> int:
         rounds = [int(f.split("-")[1].split(".")[0])

@@ -278,7 +278,7 @@ def nb_keep_top_fraction(ds, model: NBModel, frac: float,
 
     Two stateless broadcast passes, no shuffle, nothing corpus-sized on
     the driver: pass 1 folds the rounded scores into a mergeable KLL
-    sketch (per-block partials, one row each, driver merge); the
+    sketch (``engine.build.build_sketch``: raw-task folds, tree merge); the
     threshold is the sketch's ``1 - frac`` quantile. Pass 2 re-scores
     and filters with ``score >= threshold`` — since scores live on the
     ``10^-ndigits`` grid, this is expressed exactly through
@@ -298,28 +298,21 @@ def nb_keep_top_fraction(ds, model: NBModel, frac: float,
 
 def _score_quantile(ds, scores, frac: float, sketch_k: int) -> float:
     """The distributed threshold-discovery pass shared by the NB and LR
-    top-fraction policies: fold the rounded scores into per-block KLL
-    partials (one row each, driver merge) and return the ``1 - frac``
-    quantile (``-inf`` on an empty corpus)."""
+    top-fraction policies: fold the rounded scores into one KLL through
+    ``engine.build.build_sketch`` and return the ``1 - frac`` quantile
+    (``-inf`` on an empty corpus)."""
     if not 0.0 < frac <= 1.0:
         raise ValueError(f"frac must be in (0, 1], got {frac}")
-    from ocm_ray.sketches.base import MergeableSketch
+    from ocm_ray.engine.build import build_sketch
     from ocm_ray.sketches.kll import KLL
 
-    def part(batch: pa.Table) -> pa.Table:
+    def score_col(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:     # may arrive schema-less (rule 8b)
             return pa.table({})
-        sk = KLL(sketch_k)
-        sk.update_values(scores(batch))
-        return pa.table({"sk": pa.array([sk.to_bytes()], pa.binary())})
+        return pa.table({"score": pa.array(scores(batch), pa.float64())})
 
-    merged = KLL(sketch_k)
-    for b in (ds.map_batches(part, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)):
-        if b.num_rows == 0:         # schema-less empty block (rule 8b)
-            continue
-        for raw in b.column("sk"):
-            merged.merge(MergeableSketch.from_bytes(raw.as_py()))
+    merged = build_sketch(ds.map_batches(score_col, batch_format="pyarrow"),
+                          lambda: KLL(sketch_k), column="score")
     if merged.n[0] == 0:
         return float("-inf")
     return float(merged.quantile(1.0 - frac))
@@ -625,33 +618,27 @@ class TreeModel:
 
 
 def _tree_bin_edges(ds, feature_cols, n_bins: int, sketch_k: int = 4096):
-    """Per-feature candidate thresholds from a distributed KLL pass
-    (per-block partials, one row each, driver merge) — the histogram
-    paper's quantile binning."""
-    from ocm_ray.sketches.base import MergeableSketch
+    """Per-feature candidate thresholds from one KLL per feature — the
+    histogram paper's quantile binning. Blocks melt into ``(feat, v)``
+    rows and ``engine.build.grouped_sketches`` folds them per feature."""
+    from ocm_ray.engine.build import grouped_sketches
     from ocm_ray.sketches.kll import KLL
 
-    def part(batch: pa.Table) -> pa.Table:
+    def melt(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:     # may arrive schema-less (rule 8b)
             return pa.table({})
-        blobs = []
-        for c in feature_cols:
-            sk = KLL(sketch_k)     # must match the merge-side geometry
-            sk.update_values(batch.column(c).to_numpy(
-                zero_copy_only=False).astype(np.float64))
-            blobs.append(sk.to_bytes())
-        return pa.table({"sk": pa.array([blobs])})
+        return pa.table({
+            "feat": np.repeat(np.arange(len(feature_cols)), batch.num_rows),
+            "v": np.concatenate([
+                batch.column(c).to_numpy(zero_copy_only=False)
+                .astype(np.float64) for c in feature_cols])})
 
-    merged = [KLL(sketch_k) for _ in feature_cols]
-    for b in (ds.map_batches(part, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)):
-        if b.num_rows == 0:
-            continue
-        for row in b.column("sk").to_pylist():
-            for j, raw in enumerate(row):
-                merged[j].merge(MergeableSketch.from_bytes(raw))
+    sks = grouped_sketches(ds.map_batches(melt, batch_format="pyarrow"),
+                           "feat", lambda: KLL(sketch_k), column="v",
+                           n_shards=len(feature_cols))
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    return [np.unique(np.atleast_1d(sk.quantile(qs))) for sk in merged]
+    return [np.unique(np.atleast_1d(sks.get(j, KLL(sketch_k)).quantile(qs)))
+            for j in range(len(feature_cols))]
 
 
 def _tree_hist_kernel(feature_cols, label_col, edges, feat_arr,
@@ -684,7 +671,9 @@ def _tree_hist_kernel(feature_cols, label_col, edges, feat_arr,
         outs = {"node": [], "feat": [], "bin": [], "pos": [], "neg": []}
         n_bins_max = max(len(e) for e in edges) + 1
         for j, e in enumerate(edges):
-            b = np.searchsorted(e, X[:, j], side="right")
+            # bin b holds e[b-1] < x <= e[b]: a value equal to an edge
+            # lands on the side TreeModel.apply's `x <= thresh` sends it
+            b = np.searchsorted(e, X[:, j], side="left")
             # one flat key per (node, bin): bincount both classes
             key = node * n_bins_max + b
             size = int(key.max()) + 1 if len(key) else 0

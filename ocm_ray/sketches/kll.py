@@ -201,8 +201,9 @@ class KLLPM(MergeableSketch):
     with the deletion fraction (ε·n_ins + ε·n_del absolute, i.e. the
     usual KLL ε scaled by ``(n_ins + n_del) / n``). The signed-rank
     curve of two approximate sketches need not be monotone pointwise, so
-    quantile() evaluates it on the merged candidate values and takes the
-    running max before inverting — the paper's monotone repair.
+    quantile(), rank() and cdf() evaluate it on the merged candidate
+    values and take the running max — the paper's monotone repair (rank
+    and cdf are also clipped to [0, 1]).
 
     Exact regime (capacity never exceeded): quantile() reproduces SQL
     ``quantile_disc`` over the difference multiset bit-exactly (value at
@@ -246,27 +247,33 @@ class KLLPM(MergeableSketch):
         cum = np.concatenate([[0], np.cumsum(w)]).astype(np.float64)
         return cum[np.searchsorted(v, xs, side="right")]
 
+    def _repaired_ranks(self):
+        """(merged candidates, running-max-repaired signed absolute rank
+        at each); any x has the rank of the largest candidate <= x."""
+        vi, _ = self.ins._weighted()
+        vd, _ = self.dels._weighted()
+        cand = np.unique(np.concatenate([vi, vd]))
+        sr = self._abs_rank(self.ins, cand) - self._abs_rank(self.dels, cand)
+        return cand, np.maximum.accumulate(sr)
+
     def rank(self, values) -> np.ndarray:
-        """Approximate normalized SIGNED rank over the live items."""
+        """Approximate normalized SIGNED rank over the live items, with
+        the same monotone repair as quantile() and clipped to [0, 1]."""
         xs = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        cand, sr = self._repaired_ranks()
         n = max(float(self.n[0]), 1.0)
-        return (self._abs_rank(self.ins, xs)
-                - self._abs_rank(self.dels, xs)) / n
+        r = np.concatenate([[0.0], sr])[np.searchsorted(cand, xs,
+                                                        side="right")]
+        return np.clip(r / n, 0.0, 1.0)
 
     def quantile(self, q) -> np.ndarray:
         """Value(s) at normalized rank(s) q — smallest candidate whose
         monotone-repaired signed rank reaches ceil(q*n)."""
         qs = np.atleast_1d(np.asarray(q, dtype=np.float64))
-        vi, _ = self.ins._weighted()
-        vd, _ = self.dels._weighted()
-        cand = np.unique(np.concatenate([vi, vd])) if vi.size + vd.size \
-            else np.empty(0)
+        cand, sr = self._repaired_ranks()
         if cand.size == 0 or self.n[0] <= 0:
             out = np.full(qs.shape, np.nan)
             return out if np.ndim(q) else float("nan")
-        sr = self._abs_rank(self.ins, cand) - self._abs_rank(self.dels,
-                                                             cand)
-        sr = np.maximum.accumulate(sr)       # monotone repair
         n = float(self.n[0])
         targets = np.maximum(np.ceil(qs * n), 1.0)
         idx = np.minimum(np.searchsorted(sr, targets, side="left"),

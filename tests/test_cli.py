@@ -292,6 +292,26 @@ def test_cli_count_param_mismatch_no_stale_resume(small_seq, tmp_path):
     assert c == d and c != a
 
 
+def test_cli_count_checkpointed_matches_sharded(small_seq, tmp_path):
+    """`count -n 1 -c` writes the same conservative sketch with and
+    without --checkpoint-dir at equal parallelism, and a rerun over the
+    same dir resumes every shard and writes the same bytes again."""
+    base = ["count", "-n", "1", "-c", "-w", "4096", "--nh", "3",
+            "--parallelism", "3", "--input", small_seq, "--num-cpus", "4"]
+    ck = str(tmp_path / "ck")
+    outs = {}
+    for name, extra in (("plain", []), ("ckpt", ["--checkpoint-dir", ck]),
+                        ("resumed", ["--checkpoint-dir", ck])):
+        out = str(tmp_path / f"{name}.sk")
+        r = _run([*base, *extra, "-o", out])
+        assert r.returncode == 0, r.stderr[-500:]
+        outs[name] = open(out, "rb").read()
+    assert outs["ckpt"] == outs["plain"]
+    manifest = json.load(open(os.path.join(ck, "manifest.json")))
+    assert manifest["resumed_shards"] == 3 and manifest["built_shards"] == 0
+    assert outs["resumed"] == outs["plain"]
+
+
 def test_cli_value_sketch_quantiles(small_seq, tmp_path):
     """Value-sketch builds report p50/p90/p99 so the CLI is usable
     without loading the sketch file; KLL and DDSketch must agree

@@ -63,23 +63,44 @@ def test_build_sketch_matches_exact(seq_dir, truth):
     assert (est == truth.true_count.values).mean() > 0.95
 
 
-def test_build_sketch_parallelism_invariant(seq_dir):
+def test_build_sketch_parallelism_invariant(seq_dir, tmp_path):
     """Order-free sketches must be bit-identical at any parallelism and
-    across build paths: the Dataset block fold equals the file-shard
-    build byte for byte."""
+    across build paths: the Dataset block fold and the checkpointed
+    build equal the file-shard build byte for byte."""
     import ray.data as rd
 
     from ocm_ray.engine.build import build_sketch, build_sketch_sharded
+    from ocm_ray.engine.checkpoint import build_sketch_checkpointed
     from ocm_ray.sketches import BloomFilter, CountMin, HyperLogLog
 
     files = sorted(glob.glob(os.path.join(seq_dir, "*.parquet")))
-    for factory in (lambda: CountMin(14, 3), lambda: HyperLogLog(12),
-                    lambda: BloomFilter(16, 4)):
+    for i, factory in enumerate((lambda: CountMin(14, 3),
+                                 lambda: HyperLogLog(12),
+                                 lambda: BloomFilter(16, 4))):
         want = build_sketch_sharded(files, factory).to_bytes()
         for p in (2, 5):
             got = build_sketch(rd.read_parquet(seq_dir, columns=["tokens"]),
                                factory, parallelism=p)
             assert got.to_bytes() == want, (type(got).__name__, p)
+            ck = str(tmp_path / f"ck-{i}-{p}")
+            got = build_sketch_checkpointed(files, factory, ck, shards=p)
+            assert got.to_bytes() == want, (type(got).__name__, "ckpt", p)
+
+
+def test_checkpointed_matches_sharded_conservative(seq_dir, tmp_path):
+    """A conservative CM is grouping-dependent, yet the checkpointed
+    build runs the sharded build's shard task over the same shard plan
+    and merge order — so at equal shard counts the bytes match."""
+    from ocm_ray.engine.build import build_sketch_sharded
+    from ocm_ray.engine.checkpoint import build_sketch_checkpointed
+    from ocm_ray.sketches import CountMin
+
+    files = sorted(glob.glob(os.path.join(seq_dir, "*.parquet")))
+    factory = lambda: CountMin(12, 5, conservative=True)
+    got = build_sketch_checkpointed(files, factory, str(tmp_path / "ck"),
+                                    shards=3)
+    want = build_sketch_sharded(files, factory, shards=3)
+    assert got.to_bytes() == want.to_bytes()
 
 
 def test_block_fold_edge_inputs(seq_dir):
@@ -201,30 +222,35 @@ def test_query_dataset(seq_dir, truth):
     assert (out["estimated_count"] >= out["true_count"]).all()
 
 
-def test_checkpoint_resume(seq_dir, truth, tmp_path):
+@pytest.mark.parametrize("conservative", [False, True],
+                         ids=["vanilla", "conservative"])
+def test_checkpoint_resume(seq_dir, tmp_path, conservative):
     """Kill-and-resume: delete some partials, rebuild — only missing shards
-    recompute and the merged sketch is identical."""
-    from ocm_ray.engine.build import build_sketch
+    recompute and the merged sketch equals the full build, checkpointed
+    or not."""
+    from ocm_ray.engine.build import build_sketch_sharded
     from ocm_ray.engine.checkpoint import build_sketch_checkpointed
     from ocm_ray.sketches import CountMin
 
     files = sorted(glob.glob(os.path.join(seq_dir, "*.parquet")))
     ck = str(tmp_path / "ckpt")
-    factory = lambda: CountMin(14, 3)
+    factory = lambda: CountMin(14, 3, conservative=conservative)
     full = build_sketch_checkpointed(files, factory, ck, shards=4)
     # simulate a crash: lose two partials (and the merged artifact)
     os.remove(os.path.join(ck, "partial-00001.sk"))
     os.remove(os.path.join(ck, "partial-00003.sk"))
     os.remove(os.path.join(ck, "merged.sk"))
     resumed = build_sketch_checkpointed(files, factory, ck, shards=4)
-    assert np.array_equal(full.core, resumed.core)
+    assert resumed.to_bytes() == full.to_bytes()
+    assert resumed.to_bytes() == \
+        build_sketch_sharded(files, factory, shards=4).to_bytes()
     import json
 
     manifest = json.load(open(os.path.join(ck, "manifest.json")))
     assert manifest["resumed_shards"] == 2 and manifest["built_shards"] == 2
     # lineage records per-shard provenance
     lineage = json.load(open(os.path.join(ck, "lineage-00000.json")))
-    assert lineage["fingerprint"] and lineage["items"] > 0
+    assert lineage["fingerprint"] and lineage["rows"] > 0
 
 
 def test_checkpoint_stale_input_detected(seq_dir, tmp_path):

@@ -793,3 +793,22 @@ def test_kllpm_merge_and_roundtrip(rng):
     assert type(back).__name__ == "KLLPM"
     assert back.quantile(0.5) == acc.quantile(0.5)
     assert int(back.n[0]) == int(acc.n[0])
+
+
+def test_kllpm_rank_cdf_monotone_and_clipped():
+    """Deletion-heavy stream (90% retracted): the raw signed rank of
+    the insert and delete sketches dips below 0 and overshoots 1, so
+    rank() and cdf() carry quantile()'s running-max repair and a clip —
+    nondecreasing in x and inside [0, 1]."""
+    from ocm_ray.sketches import KLLPM
+
+    gen = np.random.default_rng(0)
+    vals = gen.integers(0, 1000, 20_000).astype(np.float64)
+    sk = KLLPM(50)
+    sk.update_values(vals)
+    sk.delete_values(vals[:18_000])
+    xs = np.linspace(-10, 1010, 2000)
+    for out in (sk.rank(xs), sk.cdf(xs)):
+        assert (np.diff(out) >= 0).all()
+        assert out.min() >= 0.0 and out.max() <= 1.0
+    assert sk.rank([-1.0])[0] == 0.0 and sk.rank([1e9])[0] == 1.0

@@ -105,3 +105,67 @@ def test_pure_and_tiny_nodes_stay_leaves():
     m2 = train_tree_classifier(rd.from_pandas(df2), ("a", "b"),
                                max_depth=3, min_samples=64)
     assert (m2.feat == -1).all()
+
+
+def _node_at(model, X, depth):
+    """Node id of every row after ``depth`` levels of the tree walk."""
+    node = np.zeros(len(X), dtype=np.int64)
+    for _ in range(depth):
+        f = model.feat[node]
+        live = f >= 0
+        right = np.zeros(len(X), dtype=bool)
+        right[live] = X[np.nonzero(live)[0], f[live]] \
+            > model.thresh[node[live]]
+        node = np.where(live, 2 * node + 1 + right, node)
+    return node
+
+
+def test_split_histogram_counts_match_realized_partition_on_ties(
+        monkeypatch):
+    """Integer features with every value on a bin edge: the histogram
+    bin of a value equal to the split threshold must sit on the side
+    ``TreeModel.apply``'s ``x <= thresh`` sends it, so each chosen
+    split's histogram left/right class counts equal the partition the
+    model realizes on the training rows."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    import ocm_ray.ops.classifier as cl
+
+    rng = np.random.default_rng(11)
+    n = 3000
+    a = rng.integers(0, 10, n)
+    b = rng.integers(0, 10, n)
+    flip = rng.random(n) < 0.05
+    df = pd.DataFrame({"doc_id": np.arange(n), "a": a, "b": b,
+                       "label": ((a >= 5) & (b >= 3)) ^ flip})
+    cols = ("a", "b")
+    edges = [np.arange(9, dtype=np.float64) for _ in cols]
+    monkeypatch.setattr(cl, "_tree_bin_edges",
+                        lambda ds, fc, nb, sketch_k=4096: edges)
+    model = cl.train_tree_classifier(rd.from_pandas(df).repartition(4),
+                                     cols, max_depth=3, min_samples=8)
+    X = df[list(cols)].to_numpy().astype(np.float64)
+    y = df["label"].to_numpy()
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    splits = np.flatnonzero(model.feat >= 0)
+    assert len(splits) >= 2
+    ties = 0
+    for node in splits:
+        depth = int(np.log2(node + 1))
+        f, t = int(model.feat[node]), model.thresh[node]
+        hist = cl._tree_hist_kernel(cols, "label", edges, model.feat,
+                                    model.thresh, depth)(tbl).to_pandas()
+        hist = hist[(hist["node"] == node) & (hist["feat"] == f)]
+        b_split = int(np.searchsorted(edges[f], t))
+        assert edges[f][b_split] == t
+        left = hist["bin"] <= b_split
+        at = _node_at(model, X, depth) == node
+        go_left = at & (X[:, f] <= t)
+        go_right = at & (X[:, f] > t)
+        assert hist.loc[left, "pos"].sum() == (go_left & y).sum()
+        assert hist.loc[left, "neg"].sum() == (go_left & ~y).sum()
+        assert hist.loc[~left, "pos"].sum() == (go_right & y).sum()
+        assert hist.loc[~left, "neg"].sum() == (go_right & ~y).sum()
+        ties += int((at & (X[:, f] == t)).sum())
+    assert ties > 0
