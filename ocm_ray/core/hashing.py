@@ -146,25 +146,26 @@ def positions(vals: np.ndarray, seeds: np.ndarray, np_bits: int) -> np.ndarray:
     (``include/ocm.h:48-52,289-293``; the reference truncates the hash
     through int32 first, which is a no-op on the low ``np ≤ 32`` bits).
 
-    Returns int64 array of shape (len(vals), nh) — flat indices into a
-    row-major ``nh * 2^np`` counter array. Hashes :data:`HASH_BLOCK`
-    keys at a time in one reused buffer.
+    Returns an int64 array of shape (len(vals), nh) — flat indices into
+    a row-major ``nh * 2^np`` counter array. It is the transpose of a
+    C-order (nh, len(vals)) buffer, one contiguous row per seed, so
+    ``pos.T`` is the fast layout for row-wise gathers and scatters.
+    Hashes :data:`HASH_BLOCK` keys at a time, in place in that buffer.
     """
     vals = np.asarray(vals).astype(U64, copy=False)
     n = len(vals)
     mask = U64((1 << np_bits) - 1)
-    out = np.empty((n, len(seeds)), dtype=np.int64)
-    buf = np.empty(min(n, HASH_BLOCK), dtype=U64)
+    out = np.empty((len(seeds), n), dtype=np.int64)
+    rows = out.view(U64)
     for b in range(0, n, HASH_BLOCK):
         e = min(b + HASH_BLOCK, n)
-        h = buf[:e - b]
         for j, s in enumerate(seeds):
+            h = rows[j, b:e]
             np.bitwise_xor(vals[b:e], U64(s), out=h)
-            wanghash_inplace(h)
+            _wang_block(h)
             h &= mask
             h += U64(j << np_bits)
-            out[b:e, j] = h.view(np.int64)
-    return out
+    return out.T
 
 
 _CHUNK_SEED = 0x9E3779B97F4A7C15  # golden-ratio odd constant (public)

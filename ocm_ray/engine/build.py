@@ -2,8 +2,9 @@
 
 Three entry points, all producing ONE merged sketch from a token source:
 
-1. ``build_sketch_sharded`` (throughput path) — deterministic file shards;
-   each task fuses pyarrow row-batch reads with its in-shard
+1. ``build_sketch_sharded`` (throughput path) — whole Parquet files
+   bin-packed into size-balanced shards by :func:`plan_shards`; each
+   task fuses pyarrow row-batch reads with its in-shard
    ``CountCombiner`` accumulation, so tokens never cross a process
    boundary. ``engine.checkpoint.build_sketch_checkpointed`` runs the
    same shard task over the same shard plan and persists each partial,
@@ -32,6 +33,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 from ray.data.aggregate import AggregateFnV2
@@ -111,11 +113,52 @@ def build_sketch(ds: Dataset, factory: SketchFactory, column: str = "tokens",
     return tree_merge(refs) if refs else factory()
 
 
+def _footer_weight(path: str, column: str) -> int:
+    """Values stored for ``column`` in one Parquet file, summed over the
+    column chunks of every row group (leaf values, so a list column
+    counts its elements) — read from the footer alone."""
+    md = pq.read_metadata(path)
+    total = 0
+    for i in range(md.num_row_groups):
+        rg = md.row_group(i)
+        for j in range(rg.num_columns):
+            cc = rg.column(j)
+            leaf = cc.path_in_schema
+            if leaf == column or leaf.startswith(column + "."):
+                total += cc.num_values
+    return total
+
+
+def plan_shards(files: List[str], p: int,
+                column: str = "tokens") -> List[List[str]]:
+    """Split whole Parquet files into ``p`` groups of near-equal work.
+
+    Longest-processing-time bin packing: each file weighs its footer's
+    ``column`` value count (:func:`_footer_weight`); files go in falling
+    weight order (ties by path) into the least-loaded group (ties to the
+    group with fewer files, then the lowest index). Files are sorted
+    inside each group and groups are ordered by their first file. ``p``
+    is clamped to ``[1, len(files)]``.
+
+    The plan is a pure function of the sorted paths and their footers,
+    so every build path that shards the same files the same way merges
+    the same partials. With ``p == len(files)`` it is one file per group
+    in path order."""
+    files = sorted(files)
+    p = max(1, min(p, len(files)))
+    weights = {f: _footer_weight(f, column) for f in files}
+    groups: List[List[str]] = [[] for _ in range(p)]
+    loads = [0] * p
+    for f in sorted(files, key=lambda f: -weights[f]):   # stable: path ties
+        g = min(range(p), key=lambda i: (loads[i], len(groups[i]), i))
+        groups[g].append(f)
+        loads[g] += weights[f]
+    return sorted((sorted(g) for g in groups), key=lambda g: g[:1])
+
+
 @ray.remote(num_cpus=1)
 def _build_file_shard(files: List[str], factory: SketchFactory, column: str,
                       kgram: int, batch_size: int) -> MergeableSketch:
-    import pyarrow.parquet as pq
-
     comb = CountCombiner(factory())
     for f in files:
         pf = pq.ParquetFile(f)
@@ -130,8 +173,6 @@ def shard_token_counts(files: List[str], column: str, kgram: int,
                        batch_size: int = 65536):
     """Exact (unique, count) table of one file shard — the cacheable
     pre-aggregate the multi-round driver reuses across passes."""
-    import pyarrow.parquet as pq
-
     comb = CountCombiner(None, flush_limit=1 << 62)  # pure counting, no sketch
     for f in files:
         for rb in pq.ParquetFile(f).iter_batches(batch_size=batch_size,
@@ -157,10 +198,10 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
 
     Each task streams its own Parquet files through pyarrow row-batch
     iteration directly into its sketch: no object-store round trip for
-    tokens and no read operator. Shards are deterministic round-robin
-    file groups, the same unit the checkpointed builder persists, so
-    results are bit-identical to every other build path for order-free
-    sketches.
+    tokens and no read operator. Shards are the size-balanced file
+    groups of :func:`plan_shards`, the same unit the checkpointed build
+    persists, so results are bit-identical to every other build path for
+    order-free sketches.
 
     Partial-counter dtype note: pass a factory with
     ``counter_dtype='int32'`` when every shard's counts fit int32 —
@@ -169,7 +210,6 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     A conservative update that would push an int32 cell past 2^31-1
     raises ``OverflowError`` rather than wrapping.
     """
-    files = sorted(files)
     n = int(ray.cluster_resources().get("CPU", 8))
     # shard tasks do their own IO — no separate read operator to starve —
     # but each holds a multi-MB partial sketch, and concurrent big-sketch
@@ -180,10 +220,8 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     # tasks on 8 cores and halved the measured scaling efficiency).
     # Callers with tiny sketches can pass shards=n.
     default = n if n <= 8 else max(8, n // 2)
-    p = max(1, min(shards or default, len(files)))
-    refs = [_build_file_shard.remote(files[i::p], factory, column, kgram,
-                                     batch_size)
-            for i in range(p)]
+    refs = [_build_file_shard.remote(grp, factory, column, kgram, batch_size)
+            for grp in plan_shards(files, shards or default, column)]
     return tree_merge(refs)
 
 

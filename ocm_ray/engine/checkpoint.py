@@ -5,8 +5,9 @@ partial sketches enabling resume from any failed stage".
 
 Design (deterministic, idempotent):
   * the input is split into SHARDS = groups of whole Parquet files
-    (files are the reference's unit of determinism — a shard's content
-    is a pure function of its file list, unlike streaming splits);
+    by ``build.plan_shards`` (files are the reference's unit of
+    determinism — a shard's content is a pure function of its file
+    list, unlike streaming splits);
   * each stale shard runs the sharded build's own shard task
     (``build._build_file_shard``: fused Parquet read + ``CountCombiner``),
     then a small save task writes its partial ATOMICALLY (tmp + rename)
@@ -18,7 +19,8 @@ Design (deterministic, idempotent):
   * the shard partials tree-merge in shard-id order and the merged
     sketch is written last (``merged.sk``) with the run manifest.
 
-Same shard plan (``files[i::n]``), same shard task, same merge order:
+Same shard plan (``build.plan_shards``; one file per shard by
+default), same shard task, same merge order:
 at equal shard counts the merged sketch is byte-identical to
 ``build_sketch_sharded``'s for every sketch kind, resumed or not.
 
@@ -83,11 +85,10 @@ def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
     """
     os.makedirs(ckpt_dir, exist_ok=True)
     files = sorted(files)
-    n_shards = min(shards or max(1, len(files)), len(files))
+    groups = build.plan_shards(files, shards or len(files), column)
 
     refs, saves, resumed = [], [], 0
-    for sid in range(n_shards):
-        grp = files[sid::n_shards]
+    for sid, grp in enumerate(groups):
         ppath = os.path.join(ckpt_dir, f"partial-{sid:05d}.sk")
         lpath = os.path.join(ckpt_dir, f"lineage-{sid:05d}.json")
         fp = _fingerprint(grp)
@@ -117,9 +118,9 @@ def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
     ray.get(saves)
     _atomic_write(os.path.join(ckpt_dir, "merged.sk"), merged.to_bytes())
     manifest = {
-        "n_shards": n_shards,
+        "n_shards": len(groups),
         "resumed_shards": resumed,
-        "built_shards": n_shards - resumed,
+        "built_shards": len(groups) - resumed,
         "files": [os.path.basename(f) for f in files],
         "column": column,
         "kgram": kgram,

@@ -56,14 +56,12 @@ def exact_token_counts_sharded(files: List[str], column: str = "tokens",
     time is comparable at sf0.1 (both read-bound) — this variant exists
     for file-shard callers (the multi-round driver's cache shape) and
     avoids the Dataset AllToAll repartition tree entirely."""
-    from ocm_ray.engine.build import (merge_counts, shard_token_counts,
-                                      tree_reduce)
+    from ocm_ray.engine.build import (merge_counts, plan_shards,
+                                      shard_token_counts, tree_reduce)
 
-    files = sorted(files)
     n = int(ray.cluster_resources().get("CPU", 8))
-    p = max(1, min(n, len(files)))
-    refs = [shard_token_counts.remote(files[i::p], column, kgram)
-            for i in range(p)]
+    refs = [shard_token_counts.remote(grp, column, kgram)
+            for grp in plan_shards(files, n, column)]
     u, c = ray.get(tree_reduce(refs, merge_counts))
     return pa.table({"token": pa.array(u.astype(np.int32)),
                      "cnt": pa.array(c.astype(np.int64))})

@@ -56,14 +56,41 @@ def _scatter_add(core: np.ndarray, pos: np.ndarray, weights: np.ndarray) -> None
     Kernel choice is density-dependent: for sparse scatters (unique-token
     batches over a wide table) ``np.add.at`` touches only the hit cells;
     for dense scatters ``np.bincount`` + vector add wins despite
-    allocating a core-sized accumulator. Crossover ≈ size/8 indices."""
+    allocating a core-sized accumulator. Crossover ≈ size/8 indices.
+
+    A core narrower than int64 raises ``OverflowError`` when a cell would
+    pass the dtype's max, instead of wrapping; int64 cores skip the check."""
     idx = pos.ravel()
     w = weights.ravel()
+    narrow = core.dtype.itemsize < 8
     if idx.size < core.size // 8:
+        if narrow and idx.size:
+            _check_add(core, idx, w)
         np.add.at(core, idx, w.astype(core.dtype, copy=False))
     else:
         acc = np.bincount(idx, weights=w, minlength=core.size)
+        if narrow and float(core.max()) + acc.max() > np.iinfo(core.dtype).max:
+            _check_fits(core + acc, core.dtype)
         core += acc.astype(core.dtype, copy=False)
+
+
+def _check_add(core: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
+    """Raise if ``core[idx] += w`` (repeats summed) passes the dtype max.
+    The bound ``max(core[idx])`` + the sum of the positive weights
+    settles the common case without grouping the repeats."""
+    hi = np.iinfo(core.dtype).max
+    if float(core[idx].max()) + float(np.maximum(w, 0).sum()) <= hi:
+        return
+    cells, inv = np.unique(idx, return_inverse=True)
+    _check_fits(core[cells] + np.bincount(inv, weights=w), core.dtype)
+
+
+def _check_fits(total: np.ndarray, dtype: np.dtype) -> None:
+    hi = np.iinfo(dtype).max
+    if total.size and total.max() > hi:
+        raise OverflowError(
+            f"count-min cell would exceed the {dtype} counter max {hi}; "
+            "use counter_dtype='int64'")
 
 
 def _raise_to(floor: np.ndarray, cnt: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -78,11 +105,7 @@ def _raise_to(floor: np.ndarray, cnt: np.ndarray, dtype: np.dtype) -> np.ndarray
     target = floor.astype(np.int64, copy=False) + cnt
     if target.dtype == dtype:
         return target
-    hi = np.iinfo(dtype).max
-    if target.size and int(target.max()) > hi:
-        raise OverflowError(
-            f"conservative count-min cell would exceed the {dtype} "
-            f"counter max {hi}; use counter_dtype='int64'")
+    _check_fits(target, dtype)
     return target.astype(dtype)
 
 
@@ -146,7 +169,8 @@ class CountMin(_CMGeometry):
         self.n_items[0] += int(cnt.sum())
         pos = self._positions(uniq)
         if not self.conservative:
-            _scatter_add(self.core, pos, np.repeat(cnt, self.nh).reshape(-1, self.nh))
+            # pos.T is C-order (nh, U): scatter row by row, weights to match
+            _scatter_add(self.core, pos.T, np.tile(cnt, self.nh))
         else:
             self._conservative_update(pos, cnt)
 
@@ -161,10 +185,12 @@ class CountMin(_CMGeometry):
         (lower: every proposed value ≥ min+c ≥ true; upper: proposal
         ≤ cell + c ≤ vanilla) under any batch/partition split.
         """
-        vals = self.core[pos]                        # (U, nh) gather
-        target = _raise_to(vals.min(axis=1), cnt, self.core.dtype)
-        proposed = np.maximum(vals, target[:, None])
-        np.maximum.at(self.core, pos.ravel(), proposed.ravel())
+        rows = pos.T                                 # C-order (nh, U)
+        vals = self.core[rows]                       # row-by-row gather
+        target = _raise_to(np.minimum.reduce(vals, axis=0), cnt,
+                           self.core.dtype)
+        np.maximum(vals, target, out=vals)
+        np.maximum.at(self.core, rows.ravel(), vals.ravel())
 
     def update_sequential(self, items: np.ndarray) -> None:
         """Per-occurrence kernel, bit-identical to the reference's stream
@@ -188,8 +214,8 @@ class CountMin(_CMGeometry):
         items = np.asarray(items).astype(U64, copy=False)
         if items.size == 0:
             return np.zeros(0, dtype=np.int64)
-        pos = self._positions(items)
-        return self.core[pos].min(axis=1).astype(np.int64)
+        rows = self._positions(items).T
+        return np.minimum.reduce(self.core[rows], axis=0).astype(np.int64)
 
     # ---- set algebra -------------------------------------------------------
     def intersect(self, other: "CountMin") -> "CountMin":

@@ -1,11 +1,13 @@
 """Count-min hot kernels: dtype-exact conservative scatters, integer-exact
-dedupe, blocked hashing, and npz handle hygiene.
+dedupe, blocked hashing, row-major positions, and npz handle hygiene.
 
 The conservative kernels must hand ``np.maximum.at`` values already in the
 core's dtype (mixed dtypes fall off numpy's fast path), raise instead of
-wrapping when an int32 cell would pass 2^31-1, and produce the same cores
-for int32 and int64 counters. The blocked hash kernels must equal the
-unblocked formulas across block edges.
+wrapping when an int32 cell would pass 2^31-1 (the vanilla scatter too),
+and produce the same cores for int32 and int64 counters. The blocked hash
+kernels must equal the unblocked formulas across block edges. The
+row-major update kernels must write the same bytes as the (items, nh)
+kernels they replaced.
 """
 
 import os
@@ -74,6 +76,49 @@ def test_occm_int32_overflow_raises(round_no):
     o.update_count_collision(item, round_no, 4, np.array([I32_MAX - 1]))
     with pytest.raises(OverflowError):
         o.update_count_collision(item, round_no, 4, np.array([2]))
+    assert o.core.min() >= 0
+
+
+def test_vanilla_int32_overflow_raises_sparse_branch():
+    # 3 indices into a 768-cell core: the np.add.at branch
+    cm = CountMin(8, 3, counter_dtype="int32")
+    cm.update(np.array([5], np.uint64), np.array([I32_MAX - 10]))
+    before = cm.core.copy()
+    with pytest.raises(OverflowError):
+        cm.update(np.array([5], np.uint64), np.array([15]))
+    assert np.array_equal(cm.core, before)
+    # repeats of one cell sum past the max only together
+    with pytest.raises(OverflowError):
+        countmin._scatter_add(np.zeros(800, np.int32), np.array([7, 7, 7]),
+                              np.array([2**30, 2**30, 2**30]))
+    cm.update(np.array([5], np.uint64), np.array([10]))   # up to the max fits
+    assert cm.estimate(np.array([5], np.uint64))[0] == I32_MAX
+
+
+def test_vanilla_int32_overflow_raises_dense_branch():
+    # 3 x 40 indices into a 48-cell core: the bincount branch
+    items = np.arange(40, dtype=np.uint64)
+    cm = CountMin(4, 3, counter_dtype="int32")
+    cm.core[:] = I32_MAX - 40
+    cm.update(items, np.ones(40, np.int64))    # <= 40 per cell: fits
+    before = cm.core.copy()
+    with pytest.raises(OverflowError):
+        cm.update(items, np.full(40, 40))
+    assert np.array_equal(cm.core, before)
+    assert cm.core.min() >= 0
+    big = CountMin(4, 3)
+    big.core[:] = I32_MAX - 40
+    big.update(items, np.ones(40, np.int64))
+    big.update(items, np.full(40, 40))
+    assert (big.estimate(items) > I32_MAX).all()
+
+
+def test_ocm_count_pass_int32_overflow_raises():
+    o = OfflineCountMin(8, 3, counter_dtype="int32")
+    item = np.array([3], np.uint64)
+    o.update_count(item, np.array([I32_MAX - 1]))
+    with pytest.raises(OverflowError):
+        o.update_count(item, np.array([2]))
     assert o.core.min() >= 0
 
 
@@ -203,7 +248,10 @@ def test_positions_blocked_equals_unblocked():
         mask = np.uint64((1 << np_bits) - 1)
         ref = np.stack([(wanghash(vals ^ s) & mask).astype(np.int64) + (j << np_bits)
                         for j, s in enumerate(seeds)], axis=1)
-        assert np.array_equal(positions(vals, seeds, np_bits), ref)
+        pos = positions(vals, seeds, np_bits)
+        assert np.array_equal(pos, ref)
+        assert pos.T.flags.c_contiguous        # one contiguous row per seed
+    assert positions(vals[:0], seeds, 12).shape == (0, len(seeds))
     # rows either side of each block edge against the scalar hash
     for i in (HASH_BLOCK - 1, HASH_BLOCK, 2 * HASH_BLOCK + 1, N_EDGE - 1):
         p = positions(vals[i:i + 1], seeds, 12)[0]
@@ -267,6 +315,80 @@ def test_word_kgrams_blocked_equal_unblocked():
     g, r, nrows = word_kgram_hashes(text, 3)
     assert nrows == len(lens)
     assert np.array_equal(g, ref_g) and np.array_equal(r, ref_r)
+
+
+# ---- row-major kernels write the old kernels' bytes ---------------------------
+
+def _items_major_conservative(core, pos, cnt):
+    """The (items, nh) conservative kernel the row-major one replaced."""
+    pos = np.ascontiguousarray(pos)
+    vals = core[pos]
+    target = countmin._raise_to(vals.min(axis=1), cnt, core.dtype)
+    proposed = np.maximum(vals, target[:, None])
+    np.maximum.at(core, pos.ravel(), proposed.ravel())
+
+
+def _items_major_vanilla(core, pos, cnt):
+    pos = np.ascontiguousarray(pos)
+    countmin._scatter_add(core, pos, np.repeat(cnt, pos.shape[1])
+                          .reshape(-1, pos.shape[1]))
+
+
+@pytest.mark.parametrize("dtype", ["int32", "int64"])
+@pytest.mark.parametrize("conservative", [False, True],
+                         ids=["vanilla", "conservative"])
+@pytest.mark.parametrize("np_bits", [6, 12])    # dense and sparse scatters
+def test_row_major_update_equals_items_major(dtype, conservative, np_bits):
+    tables = _tables(4)
+    cm = CountMin(np_bits, 5, conservative=conservative, counter_dtype=dtype)
+    cm.update(*tables[0])                       # start from a non-zero core
+    ref = cm.core.copy()
+    assert ref.any()
+    old = _items_major_conservative if conservative else _items_major_vanilla
+    for u, c in tables[1:]:
+        cm.update(u, c)
+        old(ref, cm._positions(u), c)
+        assert ref.dtype == cm.core.dtype
+        assert ref.tobytes() == cm.core.tobytes()
+    items = np.concatenate([u for u, _ in tables])
+    est = cm.estimate(items)
+    assert np.array_equal(est, ref[np.ascontiguousarray(
+        cm._positions(items))].min(axis=1))
+
+
+@pytest.mark.parametrize("dtype", ["int32", "int64"])
+@pytest.mark.parametrize("conservative", [False, True],
+                         ids=["ocm", "occm"])
+def test_ocm_kernels_layout_independent(monkeypatch, dtype, conservative):
+    """Every OCM/OCCM kernel that reads ``positions`` writes the same
+    bytes whether it gets the row-major result or a C-order (items, nh)
+    copy of it."""
+    tables = _tables(5)
+
+    def run():
+        o = OfflineCountMin(10, 5, conservative=conservative,
+                            counter_dtype=dtype)
+        for r in range(4):
+            if not conservative and r > 0:
+                frozen = (o.core.copy(), o.collision.copy())
+                for u, c in tables:
+                    o.update_collision(u, r, c, *frozen)
+            o.clear_core()
+            for u, c in tables:
+                if conservative:
+                    o.update_count_collision(u, r, 4, c)
+                else:
+                    o.update_count(u, c)
+        items = np.concatenate([u for u, _ in tables])
+        return o.core.tobytes(), o.collision.tobytes(), \
+            o.estimate(items).tobytes()
+
+    got = run()
+    real = countmin.positions
+    monkeypatch.setattr(countmin, "positions",
+                        lambda *a: np.ascontiguousarray(real(*a)))
+    assert run() == got
+    assert np.frombuffer(got[1], np.int32).max() > 0   # marks were written
 
 
 # ---- npz handles are closed ---------------------------------------------------

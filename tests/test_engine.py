@@ -103,6 +103,106 @@ def test_checkpointed_matches_sharded_conservative(seq_dir, tmp_path):
     assert got.to_bytes() == want.to_bytes()
 
 
+def _token_file(path, n_rows, row_len, seed, row_group_size=None):
+    """A Parquet file of ``n_rows`` token lists of ``row_len`` ids each,
+    plus a scalar ``doc`` column the plan must not count."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    flat = rng.zipf(1.3, n_rows * row_len).astype(np.int64) % 3000
+    offsets = np.arange(n_rows + 1, dtype=np.int32) * row_len
+    tbl = pa.table({"doc": pa.array(np.arange(n_rows)),
+                    "tokens": pa.ListArray.from_arrays(pa.array(offsets),
+                                                       pa.array(flat))})
+    pq.write_table(tbl, path, row_group_size=row_group_size)
+    return path
+
+
+@pytest.fixture(scope="module")
+def skew_files(tmp_path_factory):
+    """8 equal files plus one with 4x their tokens, not first by path."""
+    d = tmp_path_factory.mktemp("skew")
+    return [_token_file(str(d / f"part-{i:05d}.parquet"),
+                        200 if i == 3 else 50, 40, seed=i)
+            for i in range(9)]
+
+
+def _plan_loads(plan):
+    from ocm_ray.engine.build import _footer_weight
+
+    return [sum(_footer_weight(f, "tokens") for f in g) for g in plan]
+
+
+def test_plan_shards_balances_skewed_files(skew_files):
+    from ocm_ray.engine.build import plan_shards
+
+    plan = plan_shards(skew_files, 4, "tokens")
+    assert len(plan) == 4
+    assert sorted(f for g in plan for f in g) == sorted(skew_files)
+    assert [skew_files[3]] in plan                 # the 4x file sits alone
+    loads = _plan_loads(plan)
+    assert max(loads) / float(np.median(loads)) <= 1.6
+    # round-robin would have put the 4x file with another one
+    rr = [skew_files[i::4] for i in range(4)]
+    assert max(_plan_loads(rr)) > max(loads)
+    # a pure function of the file set: repeatable, input-order-free
+    shuffled = list(skew_files)
+    np.random.default_rng(0).shuffle(shuffled)
+    assert plan_shards(shuffled, 4, "tokens") == plan
+    assert plan_shards(skew_files, 4, "tokens") == plan
+    for g in plan:
+        assert g == sorted(g)
+    assert [g[0] for g in plan] == sorted(g[0] for g in plan)
+
+
+def test_plan_shards_clamps_and_one_file_per_shard(skew_files):
+    from ocm_ray.engine.build import plan_shards
+
+    one_each = [[f] for f in sorted(skew_files)]
+    assert plan_shards(skew_files[::-1], len(skew_files)) == one_each
+    assert plan_shards(skew_files, 50) == one_each           # clamped
+    assert plan_shards(skew_files, 0) == [sorted(skew_files)]
+    assert plan_shards(skew_files, 1) == [sorted(skew_files)]
+
+
+def test_plan_shards_weights_from_list_column_footers(tmp_path):
+    import pyarrow.parquet as pq
+
+    from ocm_ray.engine.build import _footer_weight, plan_shards
+
+    f = _token_file(str(tmp_path / "a.parquet"), 30, 7, seed=1,
+                    row_group_size=8)
+    assert pq.read_metadata(f).num_row_groups == 4
+    assert _footer_weight(f, "tokens") == 30 * 7      # list elements
+    assert _footer_weight(f, "doc") == 30
+    g = _token_file(str(tmp_path / "b.parquet"), 100, 1, seed=2)
+    h = _token_file(str(tmp_path / "c.parquet"), 20, 1, seed=3)
+    # by row count b is heaviest; by token count a is
+    assert plan_shards([f, g, h], 2, "tokens") == [[f], [g, h]]
+    assert plan_shards([f, g, h], 2, "doc") == [[f, h], [g]]
+    # weightless (empty) files still spread one per shard
+    e1 = _token_file(str(tmp_path / "e1.parquet"), 0, 3, seed=4)
+    e2 = _token_file(str(tmp_path / "e2.parquet"), 0, 3, seed=5)
+    assert _footer_weight(e1, "tokens") == 0
+    assert plan_shards([f, e1, e2], 3) == [[f], [e1], [e2]]
+
+
+def test_checkpointed_matches_sharded_conservative_on_skew(skew_files,
+                                                           tmp_path):
+    """Sharded and checkpointed builds share the size-aware plan, so a
+    grouping-dependent conservative CM still matches byte for byte."""
+    from ocm_ray.engine.build import build_sketch_sharded
+    from ocm_ray.engine.checkpoint import build_sketch_checkpointed
+    from ocm_ray.sketches import CountMin
+
+    factory = lambda: CountMin(10, 5, conservative=True)
+    got = build_sketch_checkpointed(skew_files, factory, str(tmp_path / "ck"),
+                                    shards=4)
+    want = build_sketch_sharded(skew_files, factory, shards=4)
+    assert got.to_bytes() == want.to_bytes()
+
+
 def test_block_fold_edge_inputs(seq_dir):
     """The block fold behind build_sketch and build_ocm(dataset_factory=)
     takes a Dataset filtered to zero rows, one with no blocks at all, a
