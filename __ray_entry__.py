@@ -101,8 +101,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["pricing_summary"] = pricing_summary
 
     def doc_stats_by_source(sf_dir):
-        """Few-key rollup over the documents corpus via the repartition
-        tree (blocks shrink to one row per source before coalescing)."""
+        """Few-key rollup over the documents corpus via the grouped_sum
+        fold (blocks shrink to one row per source before merging)."""
         import pyarrow as pa
 
         from ocm_ray.ops.agg import grouped_sum
@@ -810,8 +810,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["supplier_by_region"] = supplier_by_region
 
     def lang_distribution(sf_dir):
-        """Few-key rollup over documents via the repartition tree; the
-        mean is derived from tree sums (count + char total)."""
+        """Few-key rollup over documents via the grouped_sum fold; the
+        mean is derived from the folded sums (count + char total)."""
         import pyarrow as pa
 
         from ocm_ray.ops.agg import grouped_sum
@@ -1653,7 +1653,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         between per-source token MULTISETS: exact weighted Jaccard
         sums (integer, SQL-oracled) + the CWS estimator asserted
         within 5 sigma in-query. The per-(source, token) count table
-        rides the grouped_sum repartition tree; CWS partials are built
+        rides the grouped_sum block fold; CWS partials are built
         per batch OVER THE GROUPED TABLE (each (source, token) final
         weight appears exactly once -> disjoint-element merge is exact,
         the sketch's documented contract) and min-merged."""

@@ -1,20 +1,20 @@
-"""Tree-structured grouped aggregation for *shrinkable* keyspaces.
+"""Exact table reductions for *shrinkable* keyspaces, folded with raw
+tasks.
 
 Ray Data's native ``groupby().aggregate()`` executes a sort-based
 all-to-all — measured 35.7s for a 6.2M-row partial-count table at sf0.1
-where the per-block Arrow ``Table.group_by`` tree below takes 0.4s (85x).
-The tree is correct whenever the aggregate is commutative+associative and
-the key cardinality fits one block after dedup (token vocab, time
-buckets, category keys):
+where per-block Arrow ``Table.group_by`` partials take 0.4s (85x). Each
+reduction here is a *partial reducer* ``f`` (``f(concat(f(a), f(b)))
+== f(concat(a, b))``), folded the way ``engine.build.build_sketch``
+folds sketches: one raw task applies ``f`` per block ref, then
+``engine.build.tree_reduce`` merges the partials with ``concat → f``
+down to one block — the exact result, returned as a one-block Dataset.
+No AllToAll operator runs and the driver holds only refs.
 
-    level 0: per-block Arrow group_by  (one row per key per block)
-    level k: coalesce ``fanin`` blocks (repartition, no shuffle) and
-             group_by again — block sizes collapse to ≤ |keys|
-    final:   one block holds the exact grouped sums
-
-For UNshrinkable keyspaces (near-unique keys, e.g. grouping by content
-hash for exact dedup), the tree degenerates — use Ray's native groupby
-there; it moves every row no matter what.
+The fold is correct whenever the result fits one block (token vocab,
+time buckets, category keys, top-k rows). For UNshrinkable keyspaces
+(near-unique keys, e.g. exact dedup by content hash) use the key-hash
+exchange of ``ops.pairs.shard_scan``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,34 @@ from __future__ import annotations
 from typing import List
 
 import pyarrow as pa
+import ray
+import ray.data as rd
 from ray.data import Dataset
+
+from ocm_ray.engine.build import tree_reduce
+from ocm_ray.ops.pairs import _as_arrow, iter_block_refs
+
+
+@ray.remote(num_cpus=1)
+def _reduce_block(reduce, block) -> pa.Table:
+    return reduce(_as_arrow(block))
+
+
+def _fold(ds: Dataset, reduce) -> Dataset:
+    """One ``reduce`` task per block of ``ds``, partials merged through
+    :func:`tree_reduce` with ``concat → reduce``; returns the root as a
+    one-block Dataset (zero rows when ``ds`` has no blocks)."""
+    def combine(a: pa.Table, b: pa.Table) -> pa.Table:
+        # schema-less empties (rule 8b) carry nothing to concatenate
+        parts = [t for t in (a, b) if t.num_columns]
+        if len(parts) < 2:
+            return parts[0] if parts else a
+        return reduce(pa.concat_tables(parts, promote_options="permissive"))
+
+    refs = [_reduce_block.remote(reduce, b) for b in iter_block_refs(ds)]
+    if not refs:
+        return rd.from_arrow(pa.table({}))
+    return rd.from_arrow_refs([tree_reduce(refs, combine)])
 
 
 def _block_group_sum(keys: List[str], sum_cols: List[str]):
@@ -33,8 +60,8 @@ def _block_group_sum(keys: List[str], sum_cols: List[str]):
         # NOTE: a schema'd EMPTY block must still go through group_by:
         # the aggregate promotes int32 sums to int64 and reorders
         # columns to keys+sums, and passing the raw input schema
-        # through would leave the repartition tree concatenating
-        # blocks with conflicting schemas
+        # through would leave the fold concatenating partials with
+        # conflicting schemas
         g = t.group_by(keys).aggregate([(c, "sum") for c in sum_cols])
         cols = {k: g.column(k) for k in keys}
         for c in sum_cols:
@@ -44,53 +71,39 @@ def _block_group_sum(keys: List[str], sum_cols: List[str]):
     return combine
 
 
-def grouped_sum(ds: Dataset, keys: List[str], sum_cols: List[str],
-                fanin: int = 8, levels: int = 2) -> Dataset:
-    """Exact grouped sums via the per-block tree (see module docstring).
-    Returns a Dataset with columns ``keys + sum_cols`` (single block)."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1 (got {levels}): levels=0 "
-                         "would return un-collapsed multi-block partials")
-    combine = _block_group_sum(keys, sum_cols)
-    out = ds.map_batches(combine, batch_size=None, batch_format="pyarrow")
-    width = fanin ** (levels - 1)
-    while width >= 1:
-        out = out.repartition(width).map_batches(
-            combine, batch_size=None, batch_format="pyarrow")
-        if width == 1:
-            break
-        width //= fanin
-    return out
+def grouped_sum(ds: Dataset, keys: List[str], sum_cols: List[str]) -> Dataset:
+    """Exact grouped sums via the block fold (see module docstring).
+    Returns a Dataset with columns ``keys + sum_cols`` (single block);
+    with ``sum_cols=[]`` it is the distinct ``keys`` (NULL is one key)."""
+    return _fold(ds, _block_group_sum(keys, sum_cols))
 
 
 def grouped_topk(ds: Dataset, keys: List[str], rank_col: str, k: int,
-                 tie_cols: List[str] | None = None, descending: bool = True,
-                 fanin: int = 8, levels: int = 2) -> Dataset:
+                 tie_cols: List[str] | None = None,
+                 descending: bool = True) -> Dataset:
     """Exact top-k ROWS per key group, shuffle-free.
 
     Per-block top-k-per-key is a valid partial reducer (each row lives in
     exactly one block, so the global per-key top-k is contained in the
     union of per-block top-k's); blocks therefore shrink to ≤ k rows per
-    key present, and the same repartition tree as :func:`grouped_sum`
-    coalesces them. Collation is total and deterministic:
-    ``rank_col`` (desc by default) then ``tie_cols`` asc — the SQL
-    ``ROW_NUMBER() OVER (PARTITION BY keys ORDER BY ...) <= k`` result.
-    Driver/output size is bounded by k × |keys|.
+    key present, and the same block fold as :func:`grouped_sum` merges
+    them. Collation is total and deterministic: ``rank_col`` (desc by
+    default) then ``tie_cols`` asc — the SQL ``ROW_NUMBER() OVER
+    (PARTITION BY keys ORDER BY ...) <= k`` result. With ``keys=[]`` it
+    is the exact global top-k, sorted in that collation. Driver/output
+    size is bounded by k × |keys|.
     """
     import numpy as np
     import pyarrow.compute as pc
 
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1 (got {levels}): levels=0 "
-                         "would return un-collapsed multi-block partials")
     tie_cols = tie_cols or []
 
     def sel(t: pa.Table) -> pa.Table:
         # Arrow-native (no pandas round-trip): sort_by + take PRESERVE
         # the input schema exactly, so empty passthrough blocks and
         # selected blocks can't diverge (int64-with-null → float64 and
-        # large_string → string drift would break the repartition tree's
-        # concat — the hazard _block_group_sum's NOTE documents)
+        # large_string → string drift would break the fold's concat —
+        # the hazard _block_group_sum's NOTE documents)
         if t.num_rows == 0:
             return t
         order = [(c, "ascending") for c in keys] \
@@ -117,12 +130,4 @@ def grouped_topk(ds: Dataset, keys: List[str], rank_col: str, k: int,
         keep = (pos - starts[run]) < k
         return t.take(np.flatnonzero(keep))
 
-    out = ds.map_batches(sel, batch_size=None, batch_format="pyarrow")
-    width = fanin ** (levels - 1)
-    while width >= 1:
-        out = out.repartition(width).map_batches(
-            sel, batch_size=None, batch_format="pyarrow")
-        if width == 1:
-            break
-        width //= fanin
-    return out
+    return _fold(ds, sel)

@@ -350,7 +350,7 @@ def exact_jaccard_pairs(ds: Dataset, id_col: str = "doc_id",
 
     shingle_ds = ds.map_batches(shingle_rows, batch_format="pyarrow")
     cand_ds = collision_pairs(shingle_ds, n_shards, max_bucket=max_bucket)
-    # pair-emission counting via the repartition tree (grouped_sum):
+    # pair-emission counting via the grouped_sum block fold:
     # Ray's sort-based groupby().aggregate costs a fixed ~200 MB of
     # driver RSS plus ~5x the (emission-sized) shuffled bytes
     from ocm_ray.ops.agg import grouped_sum

@@ -726,8 +726,8 @@ def read_webdataset(paths, exts: tuple = ("bin", "json"),
                   for p in batch.column("shard").to_pylist()]
         return pa.concat_tables(tables) if len(tables) != 1 else tables[0]
 
-    shards = rd.from_items([{"shard": p} for p in paths]) \
-        .repartition(len(paths))
+    shards = rd.from_items([{"shard": p} for p in paths],
+                           override_num_blocks=len(paths))
     return shards.map_batches(parse_shard, batch_format="pyarrow",
                               batch_size=None)
 

@@ -19,12 +19,12 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from ocm_ray.ops.agg import grouped_sum, grouped_topk
+
 
 def exact_token_counts(ds: Dataset, column: str = "tokens") -> Dataset:
     """Exact counts of int tokens from a list<int32> column.
-    Per-batch ``np.unique`` partials → tree grouped-sum (ops.agg)."""
-    from ocm_ray.ops.agg import grouped_sum
-
+    Per-batch ``np.unique`` partials → grouped-sum fold (ops.agg)."""
     def local(batch: pa.Table) -> pa.Table:
         from ocm_ray.engine.tokens import list_column_values
 
@@ -55,7 +55,7 @@ def exact_token_counts_sharded(files: List[str], column: str = "tokens",
     Same result as :func:`exact_token_counts` (parity-tested); wall
     time is comparable at sf0.1 (both read-bound) — this variant exists
     for file-shard callers (the multi-round driver's cache shape) and
-    avoids the Dataset AllToAll repartition tree entirely."""
+    skips the Dataset read operator entirely."""
     from ocm_ray.engine.build import (merge_counts, plan_shards,
                                       shard_token_counts, tree_reduce)
 
@@ -68,14 +68,16 @@ def exact_token_counts_sharded(files: List[str], column: str = "tokens",
 
 
 def distinct_count(ds: Dataset, column: str) -> int:
-    """Exact COUNT(DISTINCT col) — per-batch unique (shrinks blocks to
-    distinct values) then a global unique."""
+    """Exact COUNT(DISTINCT col), NULL counted as one value — per-batch
+    unique (shrinks blocks to distinct values), then the keys-only
+    ``grouped_sum`` fold."""
     def local(batch: pa.Table) -> pa.Table:
         vals = batch.column(column)
         return pa.table({column: pc.unique(
             vals.combine_chunks() if isinstance(vals, pa.ChunkedArray) else vals)})
 
-    return ds.map_batches(local, batch_format="pyarrow").unique(column).__len__()
+    return grouped_sum(ds.map_batches(local, batch_format="pyarrow"),
+                       [column], []).count()
 
 
 def distinct_tokens_count(ds: Dataset, column: str = "tokens") -> int:
@@ -86,7 +88,8 @@ def distinct_tokens_count(ds: Dataset, column: str = "tokens") -> int:
         flat, _ = list_column_values(batch, column)
         return pa.table({"token": pa.array(np.unique(flat))})
 
-    return len(ds.map_batches(local, batch_format="pyarrow").unique("token"))
+    return grouped_sum(ds.map_batches(local, batch_format="pyarrow"),
+                       ["token"], []).count()
 
 
 def distinct_tokens_by_key(ds: Dataset, column: str = "tokens",
@@ -95,8 +98,6 @@ def distinct_tokens_by_key(ds: Dataset, column: str = "tokens",
     the exact oracle of the per-key HLL query. Per-batch distinct
     (key, token) pairs (one row per pair per block; vocab-bounded), tree
     grouped-sum dedupes globally, then a per-key row count."""
-    from ocm_ray.ops.agg import grouped_sum
-
     def local(batch: pa.Table) -> pa.Table:
         from ocm_ray.engine.tokens import list_column_values
 
@@ -134,8 +135,6 @@ def exact_value_quantiles(ds: Dataset, column: str, qs: List[float]) -> pd.DataF
     Distributed value histogram: per-block value_counts → tree grouped-sum
     → cumulative walk on the (small) sorted distinct table. Matches SQL
     ``quantile_disc`` (value at ceil(q·n), 1-indexed)."""
-    from ocm_ray.ops.agg import grouped_sum
-
     def local(batch: pa.Table) -> pa.Table:
         vals = batch.column(column).to_numpy(zero_copy_only=False)
         uniq, cnt = np.unique(vals, return_counts=True)
@@ -158,9 +157,8 @@ def bigram_counts(ds: Dataset, column: str = "tokens", k: int = 50) -> Dataset:
     """Exact top-k counts of within-document token bigrams.
 
     Per-block: adjacent pairs (never crossing row boundaries) packed into
-    one uint64 key, locally counted; tree grouped-sum; unpack + sort."""
-    from ocm_ray.ops.agg import grouped_sum
-
+    one uint64 key, locally counted; grouped-sum fold; unpack; global
+    top-k fold (cnt desc, a asc, b asc)."""
     def local(batch: pa.Table) -> pa.Table:
         from ocm_ray.engine.tokens import list_column_values
 
@@ -187,8 +185,8 @@ def bigram_counts(ds: Dataset, column: str = "tokens", k: int = 50) -> Dataset:
             "cnt": t.column("cnt"),
         })
 
-    return (summed.map_batches(unpack, batch_format="pyarrow")
-            .sort(["cnt", "a", "b"], descending=[True, False, False]).limit(k))
+    return grouped_topk(summed.map_batches(unpack, batch_format="pyarrow"),
+                        [], "cnt", k, tie_cols=["a", "b"])
 
 
 def trigram_counts(ds: Dataset, column: str = "tokens", k: int = 200) -> Dataset:
@@ -198,10 +196,8 @@ def trigram_counts(ds: Dataset, column: str = "tokens", k: int = 200) -> Dataset
 
     Same shape as :func:`bigram_counts`: per-block windows packed into
     one uint64 key (3 × 21 bits — token ids must be < 2^21; the 50,257
-    vocab fits), local ``np.unique`` partials, tree grouped-sum, unpack +
-    deterministic sort."""
-    from ocm_ray.ops.agg import grouped_sum
-
+    vocab fits), local ``np.unique`` partials, grouped-sum fold, unpack +
+    deterministic global top-k fold."""
     B = np.uint64(21)
     MASK = np.uint64((1 << 21) - 1)
 
@@ -233,9 +229,8 @@ def trigram_counts(ds: Dataset, column: str = "tokens", k: int = 200) -> Dataset
             "cnt": t.column("cnt"),
         })
 
-    return (summed.map_batches(unpack, batch_format="pyarrow")
-            .sort(["cnt", "t0", "t1", "t2"],
-                  descending=[True, False, False, False]).limit(k))
+    return grouped_topk(summed.map_batches(unpack, batch_format="pyarrow"),
+                        [], "cnt", k, tie_cols=["t0", "t1", "t2"])
 
 
 def broadcast_join(large: Dataset, small_df: pd.DataFrame, key: str,
@@ -287,8 +282,6 @@ def windowed_event_agg(events: Dataset, window: str = "1h",
             n=("val", "size"), sum_value=("val", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ocm_ray.ops.agg import grouped_sum
-
     out = grouped_sum(events.map_batches(local, batch_format="pyarrow"),
                       [key, "window_start"], ["n", "sum_value"])
 
@@ -310,8 +303,8 @@ def windowed_distinct(events: Dataset, window: str = "1h",
     timestamp to the window, Arrow-group to DISTINCT (key, window, id)
     triples (blocks shrink to their distinct combos before any
     exchange); the triple table — NEAR-UNIQUE when ids are
-    high-cardinality, so the grouped trees' repartition(1) would funnel
-    ~every triple into one block (rule 3b) — takes ONE
+    high-cardinality, so the grouped fold's root would receive
+    ~every triple in one block (rule 3b) — takes ONE
     (key, window)-hash ``shard_scan`` exchange instead: every triple of
     a (key, window) group lands in one shard, which dedupes globally
     and counts — shard output is (key, window)-bounded.
@@ -406,8 +399,6 @@ def hopping_event_agg(events: Dataset, window: str = "1h", hop: str = "30m",
         g = df.groupby([key, "window_start"], as_index=False).agg(
             n=("val", "size"), sum_value=("val", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
-
-    from ocm_ray.ops.agg import grouped_sum
 
     out = grouped_sum(events.map_batches(local, batch_format="pyarrow"),
                       [key, "window_start"], ["n", "sum_value"])
@@ -601,8 +592,6 @@ def lineitem_pricing_summary(lineitem: Dataset, cutoff: str = "1998-09-01") -> D
     """TPC-H Q1-shaped pricing summary. Per-block partial sums (including
     the count, so the mean is derivable) feed the tree grouped-sum —
     the shuffle moves only (#groups × #blocks) partial rows."""
-    from ocm_ray.ops.agg import grouped_sum
-
     def prep(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less(batch.column("l_shipdate"),
                                      pa.scalar(np.datetime64(cutoff, "us"))))
@@ -637,10 +626,8 @@ def lineitem_pricing_summary(lineitem: Dataset, cutoff: str = "1998-09-01") -> D
 
 def orders_by_segment(orders: Dataset, customer_df: pd.DataFrame) -> Dataset:
     """Broadcast-join orders→customer, revenue per market segment —
-    few-key aggregate via the repartition tree (blocks shrink to one row
-    per segment before any coalesce; no sort-based AllToAll)."""
-    from ocm_ray.ops.agg import grouped_sum
-
+    few-key aggregate via the grouped_sum block fold (blocks shrink to
+    one row per segment before any merge; no sort-based AllToAll)."""
     joined = broadcast_join(orders, customer_df.rename(columns={"c_custkey": "o_custkey"}),
                             key="o_custkey", select=["o_custkey", "c_mktsegment"])
 
@@ -1179,7 +1166,7 @@ def retention_cohorts(events: Dataset, key: str = "user_id",
     pairs, the pair table dedupes through the grouped-sum tree, per-key
     first periods ride ``grouped_topk(n=1)``, and the cohort join is
     one broadcast searchsorted pass; above the cap — where user-sized
-    tables fit neither a broadcast NOR the grouped trees' repartition(1)
+    tables fit neither a broadcast NOR the grouped fold's one-block root
     (CLAUDE.md rule 3b: near-unique keyspaces don't shrink) — the pair
     table takes ONE key-hash ``shard_scan`` exchange and each shard
     dedupes globally, derives its keys' first periods, and emits
@@ -1187,8 +1174,6 @@ def retention_cohorts(events: Dataset, key: str = "user_id",
     few-key partial table ever enters a grouped tree. ``distributed``
     forces the path (None = auto); both paths produce identical counts
     (parity-tested)."""
-    from ocm_ray.ops.agg import grouped_sum, grouped_topk
-
     def pairs(batch: pa.Table) -> pa.Table:
         k = batch.column(key).to_numpy(zero_copy_only=False)
         per = (_ts_to_us(batch, ts_col) // period_us).astype(np.int64)
@@ -1217,8 +1202,6 @@ def _retention_broadcast(act: Dataset, first: Dataset,
     """Small-user-count path: ONE ``ray.put`` of the pre-sorted
     (key, first period) arrays, one stateless searchsorted pass."""
     import ray as _ray
-
-    from ocm_ray.ops.agg import grouped_sum
 
     fp = first.to_pandas()
     uk = fp[key].to_numpy()
@@ -1251,7 +1234,6 @@ def _retention_exchange(pair_ds: Dataset, key: str,
     distinct (cohort, offset) pairs, not its users, and no users-sized
     table ever enters a grouped tree or the driver (rule 3b/9). A final
     few-key grouped-sum folds the shards."""
-    from ocm_ray.ops.agg import grouped_sum
     from ocm_ray.ops.pairs import key_shard_fn, shard_scan
 
     def scan(tbl: pa.Table) -> pa.Table:

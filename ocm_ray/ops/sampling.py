@@ -135,7 +135,7 @@ def sample_n_per_key(ds: Dataset, key_col: str, id_col: str = "doc_id",
     with ``w <= 0`` are excluded.
 
     Either way it rides :func:`ocm_ray.ops.agg.grouped_topk` (per-block
-    partial top-k + repartition tree — no shuffle); output is bounded
+    partial top-k + the block fold — no shuffle); output is bounded
     by n × |keys|.
     """
     from ocm_ray.core.hashing import wanghash

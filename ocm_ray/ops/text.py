@@ -361,11 +361,13 @@ def token_count_table(ds, text_col: str = "text"):
 
 
 def top_k_tokens(ds, k: int = 100, text_col: str = "text"):
-    """Deterministic exact top-k: grouped sum → sort (cnt desc, token asc)
-    → limit. The groupby input is pre-aggregated partials, never raw
-    tokens, so the shuffle is tiny."""
+    """Deterministic exact top-k: grouped-sum fold → global top-k fold
+    (cnt desc, token asc). Only pre-aggregated partials move, never raw
+    tokens, and no AllToAll operator runs."""
+    from ocm_ray.ops.agg import grouped_topk
+
     counts = token_count_table(ds, text_col)
-    return counts.sort(["cnt", "token"], descending=[True, False]).limit(k)
+    return grouped_topk(counts, [], "cnt", k, tie_cols=["token"])
 
 
 def winnow_fingerprints(ds, k: int = 3, window: int = 4,

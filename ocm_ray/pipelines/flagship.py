@@ -35,6 +35,7 @@ def count_and_query(seq_dir: str, np_bits: int = 20, nh: int = 7,
 
     from ocm_ray.engine.checkpoint import RoundCheckpointer
     from ocm_ray.engine.rounds import build_ocm
+    from ocm_ray.ops.agg import grouped_topk
     from ocm_ray.ops.relational import exact_token_counts
 
     if validate_input:
@@ -47,10 +48,9 @@ def count_and_query(seq_dir: str, np_bits: int = 20, nh: int = 7,
     sk = build_ocm(np_bits=np_bits, nh=nh, seedseed=seedseed, rounds=rounds,
                    conservative=conservative, files=files,
                    parallelism=parallelism, on_round_end=hook)
-    truth = (exact_token_counts(rd.read_parquet(seq_dir, columns=["tokens"]))
-             .sort(["cnt", "token"], descending=[True, False])
-             .limit(top_n_queries).to_pandas()
-             .rename(columns={"cnt": "true_count"}))
+    counts = exact_token_counts(rd.read_parquet(seq_dir, columns=["tokens"]))
+    truth = (grouped_topk(counts, [], "cnt", top_n_queries, tie_cols=["token"])
+             .to_pandas().rename(columns={"cnt": "true_count"}))
     truth["estimated_count"] = sk.estimate(
         truth["token"].to_numpy().astype(np.uint64))
     bad = truth["estimated_count"] < truth["true_count"]

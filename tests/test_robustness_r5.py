@@ -411,6 +411,66 @@ def test_grouped_sum_schema_stable_with_empty_blocks_and_int32():
     assert dict(zip(out["k"], out["cnt"])) == want
 
 
+def test_table_fold_edge_inputs():
+    """The block fold under grouped_sum/grouped_topk and the count and
+    distinct ops built on it: inputs with no rows give zero rows and a
+    distinct count of 0, and a schema-less empty block between two real
+    blocks or pandas blocks match a pandas oracle."""
+    import ray.data
+
+    from ocm_ray.ops.agg import grouped_sum, grouped_topk
+    from ocm_ray.ops.relational import (distinct_count,
+                                        distinct_tokens_count,
+                                        exact_token_counts)
+
+    t = pa.table({"k": pa.array(["a", "b", None, "a", "c", "b"]),
+                  "v": pa.array([1, 2, 3, 4, 5, 6], type=pa.int64()),
+                  "tokens": pa.array([[1, 2], [2], [3, 3, 3], [], [7], [2, 1]],
+                                     type=pa.list_(pa.int32()))})
+    lo, hi = t.slice(0, 3), t.slice(3)
+    empty = {
+        "limit0": lambda: ray.data.from_arrow(t).limit(0),
+        "filtered": lambda: ray.data.from_arrow(t).filter(lambda r: False),
+    }
+    for name, mk in empty.items():
+        assert len(grouped_sum(mk(), ["k"], ["v"]).to_pandas()) == 0, name
+        assert len(grouped_topk(mk(), ["k"], "v", 2).to_pandas()) == 0, name
+        assert len(exact_token_counts(mk()).to_pandas()) == 0, name
+        assert distinct_count(mk(), "k") == 0, name
+        assert distinct_tokens_count(mk()) == 0, name
+
+    def schema_less_mid(b: pa.Table) -> pa.Table:
+        return pa.table({}) if b.num_rows == 1 else b
+
+    full = {
+        "schema_less_mid": lambda: ray.data.from_arrow(
+            [lo, t.slice(0, 1), hi]).map_batches(
+                schema_less_mid, batch_format="pyarrow", batch_size=None),
+        "pandas": lambda: ray.data.from_pandas(
+            [lo.to_pandas(), hi.to_pandas()]),
+    }
+    df = t.to_pandas()
+    want_sum = df.groupby("k", dropna=False)["v"].sum()
+    want_top = df.sort_values("v").groupby("k", dropna=False).tail(1)
+    toks = pd.Series(np.concatenate(df["tokens"].to_list()))
+    want_cnt = toks.value_counts()
+
+    def rows(frame, cols):    # NULL key → a sortable marker
+        return sorted(tuple("<null>" if pd.isna(x) else x for x in r)
+                      for r in frame[cols].itertuples(index=False))
+
+    for name, mk in full.items():
+        got = grouped_sum(mk(), ["k"], ["v"]).to_pandas()
+        assert rows(got, ["k", "v"]) == rows(want_sum.reset_index(),
+                                             ["k", "v"]), name
+        got = grouped_topk(mk(), ["k"], "v", 1).to_pandas()
+        assert rows(got, ["k", "v"]) == rows(want_top, ["k", "v"]), name
+        got = exact_token_counts(mk()).to_pandas()
+        assert dict(zip(got["token"], got["cnt"])) == want_cnt.to_dict(), name
+        assert distinct_count(mk(), "k") == 4, name          # NULL is one
+        assert distinct_tokens_count(mk()) == len(want_cnt), name
+
+
 def test_grouped_sketches_empty_blocks_and_null_keys():
     import ray.data
 

@@ -735,6 +735,17 @@ def test_grouped_topk_partition_invariance_and_ties():
                             ascending=[True, False, True],
                             ignore_index=True))
         pd.testing.assert_frame_equal(got, ref(3))
+        # keys=[]: the exact global top-k, returned in collation order
+        # (item alone does not break every score tie across groups, so
+        # g is the last tie column)
+        top = (grouped_topk(rd.from_pandas(df, override_num_blocks=nb),
+                            [], "score", 25, tie_cols=["item", "g"])
+               .to_pandas())
+        want = df.sort_values(["score", "item", "g"],
+                              ascending=[False, True, True],
+                              kind="mergesort").head(25) \
+            .reset_index(drop=True)
+        pd.testing.assert_frame_equal(top, want)
 
 
 def test_chunk_documents_reconstruction():
@@ -1406,7 +1417,7 @@ def test_grouped_topk_null_keys_and_schema_stability():
     import pyarrow as pa
     import ray.data as rd
 
-    from ocm_ray.ops.agg import grouped_sum, grouped_topk
+    from ocm_ray.ops.agg import grouped_topk
 
     t = pa.table({
         "g": pa.array(["a", None, "a", None, None, "b"],
@@ -1421,8 +1432,3 @@ def test_grouped_topk_null_keys_and_schema_stability():
     assert sorted(nulls["score"].tolist()) == [8, 9]
     assert sorted(got[got["g"] == "a"]["score"].tolist()) == [3, 5]
     assert got[got["g"] == "b"]["score"].tolist() == [1]
-
-    with pytest.raises(ValueError):
-        grouped_topk(rd.from_arrow(t), ["g"], "score", 2, levels=0)
-    with pytest.raises(ValueError):
-        grouped_sum(rd.from_arrow(t), ["g"], ["score"], levels=0)
