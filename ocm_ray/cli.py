@@ -85,6 +85,7 @@ def cmd_count(args) -> int:
         print(f"no parquet files under {args.input}", file=sys.stderr)
         return 2
     t0 = time.time()
+    build_info = {}
     if args.rounds > 1:
         hook = None
         if args.checkpoint_dir:
@@ -109,7 +110,7 @@ def cmd_count(args) -> int:
                        rounds=args.rounds, conservative=args.conservative,
                        column=args.column, kgram=args.kgram, files=files,
                        parallelism=args.parallelism, on_round_end=hook,
-                       resume_from=resume)
+                       resume_from=resume, metrics=build_info)
     elif args.checkpoint_dir:
         sk = build_sketch_checkpointed(
             files, lambda: CountMin(np_bits, args.nh, args.seed,
@@ -130,6 +131,8 @@ def cmd_count(args) -> int:
             "conservative": args.conservative, "n_items": sk.total_items,
             "wall_sec": round(wall, 3),
             "tokens_per_sec": round(sk.total_items / max(wall, 1e-9))}
+    if "scan" in build_info:  # multi-round: where the count tables came from
+        meta["scan"] = build_info["scan"]
     print(json.dumps(meta))
     return 0
 
@@ -141,7 +144,8 @@ def cmd_query(args) -> int:
     from ocm_ray.sketches.base import MergeableSketch
 
     _init_ray(args.num_cpus)
-    sk = MergeableSketch.from_bytes(open(args.sketch, "rb").read())
+    with open(args.sketch, "rb") as f:
+        sk = MergeableSketch.from_bytes(f.read())
     if args.queries.endswith(".parquet"):
         qds = rd.read_parquet(args.queries)
     elif args.queries.endswith(".csv"):
@@ -150,11 +154,12 @@ def cmd_query(args) -> int:
         # reference text format: `item true_count` whitespace rows
         # (main.cpp:121-132)
         rows = []
-        for line in open(args.queries):
-            parts = line.split()
-            if len(parts) >= 2:
-                rows.append({args.item_col: int(parts[0]),
-                             "true_count": int(parts[1])})
+        with open(args.queries) as f:
+            for line in f:
+                parts = line.split()
+                if len(parts) >= 2:
+                    rows.append({args.item_col: int(parts[0]),
+                                 "true_count": int(parts[1])})
         qds = rd.from_items(rows)
     out = attach_estimates(qds, sk, item_col=args.item_col).to_pandas()
     if args.output.endswith(".parquet"):
@@ -244,6 +249,22 @@ def cmd_sketch(args) -> int:
                       f"{attr}={a} vs requested {attr}={b}",
                       file=sys.stderr)
                 return 2
+        # the sketch bytes do not record what they were built over: the
+        # sidecar does, so a fold of another column or k-gram width
+        # fails here instead of mixing two item domains
+        side = args.merge_into + ".meta.json"
+        if os.path.isfile(side):
+            with open(side) as f:
+                prov = json.load(f)
+            for attr in ("column", "kgram"):
+                if attr in prov and prov[attr] != getattr(args, attr):
+                    print(f"sketch: --merge-into provenance mismatch: prior "
+                          f"{attr}={prov[attr]!r} vs requested "
+                          f"{attr}={getattr(args, attr)!r}", file=sys.stderr)
+                    return 2
+        else:
+            print(f"sketch: warning: {side} not found; cannot check the "
+                  f"prior's column/kgram", file=sys.stderr)
     _init_ray(args.num_cpus)
     files = _input_files(args.input)
     if not files:
@@ -303,6 +324,9 @@ def cmd_sketch(args) -> int:
         merged_from = args.merge_into
     with open(args.output, "wb") as f:
         f.write(sk.to_bytes())
+    with open(args.output + ".meta.json", "w") as f:
+        json.dump({"kind": args.kind, "column": args.column,
+                   "kgram": args.kgram}, f)
     info = {"kind": args.kind, "wall_sec": round(time.time() - t0, 3),
             "bytes": sk.nbytes}
     if merged_from:

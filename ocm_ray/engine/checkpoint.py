@@ -28,14 +28,28 @@ Retry safety: shard tasks are deterministic functions of (files,
 factory params) ⇒ Ray task retries and job-level resume produce
 identical partials (the reference restarts multi-round builds from zero
 on any failure — SURVEY §4.1).
+
+Multi-round builds (``RoundCheckpointer``, the ``on_round_end`` hook of
+``rounds.build_ocm``) persist two stages: the merged sketch after every
+round (``round-{r:02d}.sk``) and the corpus scan the passes read — the
+exact (unique, count) tables after the bounded-vocab collapse, one
+``scan-{i:05d}.npz`` per table plus a ``scan.json`` manifest written
+before the first round file. A resume from round r loads those tables
+instead of re-reading the Parquet input. The manifest keys the scan by
+the input fingerprint (absolute path, size, mtime_ns of every file),
+``column``, ``kgram``, the resolved scan parallelism and
+``collapse_threshold``: any change there, a missing manifest or a
+missing table file makes the resume rescan and rewrite the scan.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from typing import List, Optional
 
+import numpy as np
 import pyarrow.parquet as pq
 import ray
 
@@ -69,9 +83,32 @@ def _save_partial(sk: MergeableSketch, path: str, lineage: dict) -> None:
     _atomic_write(lpath, json.dumps(lineage).encode())
 
 
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @ray.remote
 def _load_partial(path: str) -> MergeableSketch:
-    return MergeableSketch.from_bytes(open(path, "rb").read())
+    return MergeableSketch.from_bytes(_read_bytes(path))
+
+
+@ray.remote
+def _save_counts(tbl, path: str) -> None:
+    buf = io.BytesIO()
+    np.savez(buf, uniq=tbl[0], cnt=tbl[1])
+    _atomic_write(path, buf.getvalue())
+
+
+@ray.remote
+def _load_counts(path: str):
+    with np.load(path, allow_pickle=False) as z:
+        return z["uniq"], z["cnt"]
 
 
 def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
@@ -95,7 +132,7 @@ def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
         fresh = False
         if resume and os.path.exists(ppath) and os.path.exists(lpath):
             try:
-                fresh = json.load(open(lpath)).get("fingerprint") == fp
+                fresh = _read_json(lpath).get("fingerprint") == fp
             except (json.JSONDecodeError, OSError):
                 pass
         if fresh:
@@ -135,10 +172,15 @@ class RoundCheckpointer:
     after every round so a killed multi-round build resumes at the last
     completed round instead of round 0 (vs reference restart-from-zero).
 
+    With ``files=``, ``build_ocm`` also saves its corpus scan here (the
+    count tables every pass reads, see the module docstring) before the
+    first round file, and a resume loads them instead of re-reading the
+    Parquet input; a fresh build (no ``resume_from``) always rescans.
+
     ``params`` (any JSON-serializable dict of the run's identity — sketch
     geometry, seed, column, kgram, input fingerprint) guards resume:
-    round files written under DIFFERENT params are stale — they are
-    discarded on construction rather than silently resumed into a run
+    round and scan files written under DIFFERENT params are stale — they
+    are discarded on construction rather than silently resumed into a run
     they don't belong to. ``rounds`` itself should NOT be in ``params``:
     round r of a multi-round build is independent of the total round
     count, so a longer rerun legitimately extends a shorter one.
@@ -152,10 +194,11 @@ class RoundCheckpointer:
             stale = False
             if os.path.exists(ppath):
                 try:
-                    stale = json.load(open(ppath)) != params
+                    stale = _read_json(ppath) != params
                 except (json.JSONDecodeError, OSError):
                     stale = True
             if stale:
+                self._drop_scan()
                 for f in os.listdir(ckpt_dir):
                     if f.startswith("round-") and f.endswith(".sk"):
                         os.remove(os.path.join(ckpt_dir, f))
@@ -173,4 +216,44 @@ class RoundCheckpointer:
 
     def load(self, round_no: int):
         p = os.path.join(self.dir, f"round-{round_no:02d}.sk")
-        return MergeableSketch.from_bytes(open(p, "rb").read())
+        return MergeableSketch.from_bytes(_read_bytes(p))
+
+    # ---- the corpus scan (build_ocm's count tables) ----------------------
+    def _scan_path(self, i: int) -> str:
+        return os.path.join(self.dir, f"scan-{i:05d}.npz")
+
+    def _drop_scan(self) -> None:
+        # the manifest goes first: a crash midway leaves tables without a
+        # manifest (ignored), never a manifest naming stale tables
+        manifest = os.path.join(self.dir, "scan.json")
+        if os.path.exists(manifest):
+            os.remove(manifest)
+        for f in os.listdir(self.dir):
+            if f.startswith("scan-") and f.endswith(".npz"):
+                os.remove(os.path.join(self.dir, f))
+
+    def load_scan(self, key: dict):
+        """``(manifest, table refs)`` of a scan saved under ``key`` whose
+        table files are all on disk, else None. The tables load in Ray
+        tasks; the driver never fetches them."""
+        try:
+            meta = _read_json(os.path.join(self.dir, "scan.json"))
+        except (json.JSONDecodeError, OSError):
+            return None
+        paths = [self._scan_path(i) for i in range(meta.get("n", 0))]
+        if meta.get("key") != key or not all(map(os.path.exists, paths)):
+            return None
+        return meta, [_load_counts.remote(p) for p in paths]
+
+    def save_scan(self, count_refs: list) -> list:
+        """Drop any saved scan and start one save task per table; pass the
+        returned refs to :meth:`commit_scan`."""
+        self._drop_scan()
+        return [_save_counts.remote(ref, self._scan_path(i))
+                for i, ref in enumerate(count_refs)]
+
+    def commit_scan(self, saves: list, meta: dict) -> None:
+        """Wait for the table saves, then write the manifest."""
+        ray.get(saves)
+        _atomic_write(os.path.join(self.dir, "scan.json"),
+                      json.dumps({**meta, "n": len(saves)}).encode())

@@ -237,7 +237,8 @@ def run_resumable_etl(files: List[str], out_dir: str,
     done = {}
     if resume and os.path.exists(mpath):
         try:
-            done = {e["in_file"]: e for e in json.load(open(mpath))["shards"]}
+            with open(mpath) as fh:
+                done = {e["in_file"]: e for e in json.load(fh)["shards"]}
         except (json.JSONDecodeError, KeyError, OSError):
             done = {}
 

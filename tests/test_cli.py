@@ -312,6 +312,27 @@ def test_cli_count_checkpointed_matches_sharded(small_seq, tmp_path):
     assert outs["resumed"] == outs["plain"]
 
 
+def test_cli_count_rounds_resume_loads_scan(small_seq, tmp_path):
+    """`count --rounds 3 --checkpoint-dir`: a rerun after losing the last
+    round resumes from round 1 with the saved corpus scan (no Parquet
+    read) and writes the same sketch bytes as the first run."""
+    ck = str(tmp_path / "ck")
+    base = ["count", "-n", "3", "-c", "-w", "8192", "--nh", "3", "--input",
+            small_seq, "--num-cpus", "4", "--checkpoint-dir", ck]
+    first, rerun = str(tmp_path / "first.sk"), str(tmp_path / "rerun.sk")
+    r = _run([*base, "-o", first])
+    assert r.returncode == 0, r.stderr[-500:]
+    assert json.loads(r.stdout.strip().splitlines()[-1])["scan"] == "files"
+    assert os.path.exists(os.path.join(ck, "scan.json"))
+    os.remove(os.path.join(ck, "round-02.sk"))  # killed in the last round
+    r = _run([*base, "-o", rerun])
+    assert r.returncode == 0, r.stderr[-500:]
+    assert "resuming after completed round 1" in r.stderr
+    assert json.loads(r.stdout.strip().splitlines()[-1])["scan"] == \
+        "checkpoint"
+    assert open(rerun, "rb").read() == open(first, "rb").read()
+
+
 def test_cli_value_sketch_quantiles(small_seq, tmp_path):
     """Value-sketch builds report p50/p90/p99 so the CLI is usable
     without loading the sketch file; KLL and DDSketch must agree
@@ -670,3 +691,28 @@ def test_cli_sketch_merge_into(small_seq, tmp_path):
               "--merge-into", a_sk,
               "-o", str(tmp_path / "x.sk"), "--num-cpus", "4"])
     assert r.returncode == 2 and "geometry mismatch" in r.stderr
+
+
+def test_cli_sketch_merge_into_provenance(small_seq, tmp_path):
+    """`sketch` writes a <output>.meta.json sidecar; --merge-into rejects
+    a prior built over another column or k-gram width before any corpus
+    pass, and accepts a sidecar-less prior with a warning."""
+    a_sk = str(tmp_path / "a.sk")
+    r = _run(["sketch", "--kind", "hll", "-p", "12", "--input", small_seq,
+              "-o", a_sk, "--num-cpus", "4"])
+    assert r.returncode == 0, r.stderr[-500:]
+    with open(a_sk + ".meta.json") as f:
+        assert json.load(f) == {"kind": "hll", "column": "tokens",
+                                "kgram": 1}
+    for extra in (["--kgram", "2"], ["--column", "n_tok"]):
+        r = _run(["sketch", "--kind", "hll", "-p", "12", "--input",
+                  small_seq, "--merge-into", a_sk, *extra,
+                  "-o", str(tmp_path / "x.sk"), "--num-cpus", "4"])
+        assert r.returncode == 2 and "provenance mismatch" in r.stderr
+        assert not os.path.exists(str(tmp_path / "x.sk"))
+    os.remove(a_sk + ".meta.json")
+    r = _run(["sketch", "--kind", "hll", "-p", "12", "--input", small_seq,
+              "--merge-into", a_sk, "--kgram", "2",
+              "-o", str(tmp_path / "y.sk"), "--num-cpus", "4"])
+    assert r.returncode == 0, r.stderr[-500:]
+    assert "cannot check the prior's column/kgram" in r.stderr

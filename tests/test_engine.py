@@ -720,11 +720,146 @@ def test_round_checkpointer_params_guard(tmp_path):
     assert ck.last_completed() == 1
     # same params → resume point survives re-construction
     assert RoundCheckpointer(d, params=dict(a)).last_completed() == 1
-    # changed seed → stale round files are discarded
+    # a saved corpus scan (build_ocm's count tables) sits next to them
+    for name in ("scan-00000.npz", "scan-00001.npz", "scan.json"):
+        open(os.path.join(d, name), "wb").close()
+    RoundCheckpointer(d, params=dict(a))
+    assert sorted(f for f in os.listdir(d) if f.startswith("scan")) == \
+        ["scan-00000.npz", "scan-00001.npz", "scan.json"]
+    # changed seed → stale round and scan files are discarded
     b = dict(a, seed=999)
     assert RoundCheckpointer(d, params=b).last_completed() == -1
+    assert not [f for f in os.listdir(d) if f.startswith("scan")]
     # and the new identity is now the persisted one
     assert RoundCheckpointer(d, params=b).last_completed() == -1
+
+
+def test_round_checkpointer_load_closes_files(tmp_path, monkeypatch):
+    """Loading a round (and re-opening the directory, which reads
+    params.json) closes every file it opens, even when something keeps
+    the file objects alive."""
+    import builtins
+
+    from ocm_ray.engine.checkpoint import RoundCheckpointer
+    from ocm_ray.sketches import CountMin
+
+    d = str(tmp_path / "rounds")
+    RoundCheckpointer(d, params={"seed": 1})(0, CountMin(8, 3))
+    opened = []
+    real_open = builtins.open
+
+    def holding_open(*a, **k):
+        fh = real_open(*a, **k)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", holding_open)
+
+    def nfds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = nfds()
+    for _ in range(20):
+        ck = RoundCheckpointer(d, params={"seed": 1})
+        assert ck.load(0).nh == 3
+    assert len(opened) >= 40
+    assert nfds() <= before
+
+
+@pytest.fixture
+def occm_files(seq_dir, tmp_path):
+    """Private copies of the corpus: the scan-checkpoint tests bump
+    input mtimes."""
+    import shutil
+
+    out = []
+    os.makedirs(tmp_path / "corpus")
+    for f in sorted(glob.glob(os.path.join(seq_dir, "*.parquet"))):
+        out.append(shutil.copy2(f, str(tmp_path / "corpus")))
+    return out
+
+
+@pytest.mark.parametrize("collapse_threshold", [1 << 22, 0],
+                         ids=["collapse", "sharded"])
+def test_occm_resume_loads_scan_checkpoint(occm_files, tmp_path,
+                                           collapse_threshold):
+    """A RoundCheckpointer also checkpoints the corpus scan: a resume
+    loads the saved count tables instead of re-reading Parquet and ends
+    byte-identical to the full build; a changed input or a missing scan
+    file makes it rescan (still identical); a fresh build always
+    scans."""
+    from ocm_ray.engine.checkpoint import RoundCheckpointer
+    from ocm_ray.engine.rounds import build_ocm
+
+    def build(ck, resume=False):
+        m = {}
+        sk = build_ocm(files=occm_files, np_bits=13, nh=3, rounds=4,
+                       conservative=True, parallelism=4, on_round_end=ck,
+                       resume_from=(1, ck.load(1)) if resume else None,
+                       collapse_threshold=collapse_threshold, metrics=m)
+        return sk, m
+
+    def assert_same(a, b):
+        assert np.array_equal(a.core, b.core)
+        assert np.array_equal(a.collision, b.collision)
+        assert a.n_items == b.n_items
+        assert a.to_bytes() == b.to_bytes()
+
+    d = str(tmp_path / "rounds")
+    ck = RoundCheckpointer(d)
+    full, m = build(ck)
+    assert m["scan"] == "files"
+    n_tables = m["count_tables"]
+    assert n_tables == (1 if collapse_threshold else 4)
+    assert len(glob.glob(os.path.join(d, "scan-*.npz"))) == n_tables
+
+    resumed, m2 = build(ck, resume=True)
+    assert m2["scan"] == "checkpoint"
+    assert_same(resumed, full)
+    # the saved manifest keeps the plan attribution correct
+    assert {k: m2[k] for k in ("plan", "count_tables", "table_rows")} == \
+        {k: m[k] for k in ("plan", "count_tables", "table_rows")}
+
+    # a fresh build never trusts a saved scan
+    assert build(ck)[1]["scan"] == "files"
+
+    # a bumped input mtime invalidates the scan: rescan, same sketch
+    st = os.stat(occm_files[0])
+    os.utime(occm_files[0], ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    resumed, m2 = build(ck, resume=True)
+    assert m2["scan"] == "files"
+    fresh, _ = build(RoundCheckpointer(str(tmp_path / "fresh")))
+    assert_same(resumed, fresh)
+    assert_same(resumed, full)
+    # the rescan rewrote the scan under the new key
+    assert build(ck, resume=True)[1]["scan"] == "checkpoint"
+
+    # a missing manifest or a missing table file: rescan, same sketch
+    for victim in ("scan.json", f"scan-{n_tables - 1:05d}.npz"):
+        os.remove(os.path.join(d, victim))
+        resumed, m2 = build(ck, resume=True)
+        assert m2["scan"] == "files"
+        assert_same(resumed, full)
+
+
+def test_occm_dataset_path_writes_no_scan(seq_dir, tmp_path):
+    """The dataset_factory= scan has no input fingerprint to key a saved
+    scan by: it writes no scan files, and a resume rescans."""
+    import ray.data as rd
+
+    from ocm_ray.engine.checkpoint import RoundCheckpointer
+    from ocm_ray.engine.rounds import build_ocm
+
+    factory = lambda: rd.read_parquet(seq_dir, columns=["tokens"])  # noqa: E731
+    d = str(tmp_path / "rounds")
+    ck = RoundCheckpointer(d)
+    for resume in (False, True):
+        m = {}
+        build_ocm(factory, np_bits=13, nh=3, rounds=2, conservative=False,
+                  on_round_end=ck, metrics=m,
+                  resume_from=(0, ck.load(0)) if resume else None)
+        assert m["scan"] == "dataset"
+        assert not [f for f in os.listdir(d) if f.startswith("scan")]
 
 
 def test_items_from_batch_large_binary():
