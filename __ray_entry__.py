@@ -1294,7 +1294,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["media_decode_stats"] = media_decode_stats
 
     def text_embed_ann(sf_dir):
-        """Batched-inference composition: TextEmbedder actor pool →
+        """Batched-inference composition: TextEmbedder task stage →
         cosine ANN over the produced embeddings. The embedder is a
         deterministic feature-hash projection (no ML runtime in this
         container), so the whole pipeline is reproducible; self-match

@@ -29,6 +29,7 @@ across any parallelism (property-tested).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -66,6 +67,34 @@ def tree_reduce(refs: List[ray.ObjectRef], combine,
         refs = [_reduce_task.remote(combine, *refs[i:i + fanin])
                 for i in range(0, len(refs), fanin)]
     return refs[0]
+
+
+# (ref hex, state) last fetched by this worker process: one slot, cleared
+# before a fetch, so a worker pins at most one stale zero-copy state. It
+# must live in a package module — one in __main__ is pickled by value into
+# every task.
+_state_slot: tuple = (None, None)
+
+
+def _call_state(batch, state_ref: ray.ObjectRef):
+    global _state_slot
+    key = state_ref.hex()
+    if _state_slot[0] != key:
+        _state_slot = (None, None)
+        _state_slot = (key, ray.get(state_ref))
+    return _state_slot[1](batch)
+
+
+def map_batches_with(ds: Dataset, state, **map_kw) -> Dataset:
+    """Task-mode ``ds.map_batches(state, **map_kw)`` for a stateful
+    picklable ``batch -> batch`` callable (a sketch estimator, encoder
+    weights, a BPE merge table): ``state`` rides the object store once
+    and each worker process fetches it once, until a stage with another
+    state runs there. Tasks hold no CPU between batches, so the stage
+    cannot starve the upstream read the way an actor pool can."""
+    ref = ray.put(state)
+    return ds.map_batches(functools.partial(_call_state, state_ref=ref),
+                          **map_kw)
 
 
 def merge_sketches(a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:

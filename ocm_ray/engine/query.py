@@ -3,40 +3,27 @@
 The reference's query driver (``main.cpp:92-133``) streams query rows
 against one loaded sketch. Distributed restatement: the sketch is placed
 in the object store ONCE (``ray.put``), every query task reads it
-zero-copy, and estimation is a vectorized ``map_batches`` — a broadcast
-join, no shuffle (SURVEY §2.4 "Joins/lookups").
+zero-copy, and estimation is a vectorized task-mode ``map_batches`` — a
+broadcast join, no shuffle (SURVEY §2.4 "Joins/lookups").
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import pyarrow as pa
-import ray
 from ray.data import Dataset
 
+from ocm_ray.engine.build import map_batches_with
 from ocm_ray.engine.tokens import items_from_batch
 from ocm_ray.sketches.base import MergeableSketch
 
 
-class _Estimator:
-    """Actor-pool stage: deserializes the broadcast sketch once per actor
-    (``__init__``), estimates per batch (``__call__``)."""
-
-    def __init__(self, sketch_ref, item_col: str, out_col: str, kgram: int):
-        # the ref may arrive auto-resolved depending on how Ray Data plumbs
-        # constructor args — accept either form
-        obj = ray.get(sketch_ref) if isinstance(sketch_ref, ray.ObjectRef) else sketch_ref
-        self.sketch = obj if isinstance(obj, MergeableSketch) \
-            else MergeableSketch.from_bytes(obj)
-        self.item_col = item_col
-        self.out_col = out_col
-        self.kgram = kgram
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        items = items_from_batch(batch, self.item_col, self.kgram)
-        est = self.sketch.estimate(items)
-        return batch.append_column(self.out_col, pa.array(est, type=pa.int64()))
+def _estimate(batch: pa.Table, sketch: MergeableSketch, item_col: str,
+              out_col: str, kgram: int) -> pa.Table:
+    est = sketch.estimate(items_from_batch(batch, item_col, kgram))
+    return batch.append_column(out_col, pa.array(est, type=pa.int64()))
 
 
 def attach_estimates(queries: Dataset, sketch: MergeableSketch,
@@ -44,22 +31,9 @@ def attach_estimates(queries: Dataset, sketch: MergeableSketch,
                      kgram: int = 1, concurrency: Optional[int] = None) -> Dataset:
     """Append ``out_col`` point estimates to a query Dataset.
 
-    The sketch rides the object store once; actors hold it zero-copy.
-    """
-    ref = ray.put(sketch)
-    # half-CPU actors, pool ≤ half the cluster: a pool that reserves every
-    # CPU starves the upstream read tasks and deadlocks the pipeline
-    n = int(ray.cluster_resources().get("CPU", 8))
-    # cap the CALLER's value too: a pool reserving every CPU starves the
-    # upstream read tasks and wedges the pipeline (CLAUDE.md rule 1)
-    return queries.map_batches(
-        _Estimator,
-        fn_constructor_args=(ref, item_col, out_col, kgram),
-        batch_format="pyarrow",
-        concurrency=max(1, min(concurrency or n // 2, n // 2)),
-        num_cpus=0.5,
-    )
-
-
-def query_to_pandas(queries: Dataset, sketch: MergeableSketch, **kw):
-    return attach_estimates(queries, sketch, **kw).to_pandas()
+    The sketch rides the object store once; each worker process reads
+    it zero-copy (``engine.build.map_batches_with``)."""
+    est = functools.partial(_estimate, sketch=sketch, item_col=item_col,
+                            out_col=out_col, kgram=kgram)
+    return map_batches_with(queries, est, batch_format="pyarrow",
+                            concurrency=concurrency)

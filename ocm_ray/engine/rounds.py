@@ -192,6 +192,8 @@ def build_ocm(dataset_factory: Optional[Callable[[], Dataset]] = None,
         last, ckpt = resume_from
         glob = ckpt.ensure_writable()
         start_round = last + 1
+        if start_round >= rounds:   # finished run: nothing to scan
+            return glob
 
     # a RoundCheckpointer hook also checkpoints the scan of a files= build
     # (the dataset_factory= path has no input fingerprint to key it by)

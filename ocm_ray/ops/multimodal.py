@@ -2,7 +2,7 @@
 
 Media payloads are opaque ``binary`` columns with typed metadata
 (``mime``, declared dims/duration). The Ray-side structure — schema,
-actor-pool decode stages, batch sizing for large binaries, output layout
+task-mode decode stages, batch sizing for large binaries, output layout
 — is real and tested. Codec support is tiered honestly:
 
 * **REAL decode, no external deps**: PPM (P6) images (pure-numpy header
@@ -17,7 +17,7 @@ actor-pool decode stages, batch sizing for large binaries, output layout
   so downstream stages still run.
 
 Batch-size guidance encoded in the defaults: with ~1 MB payloads, a
-batch of 32 rows ≈ 32 MB ≈ a sane per-actor working set; callers with
+batch of 32 rows ≈ 32 MB ≈ a sane per-task working set; callers with
 10 MB video chunks should drop to batch_size=4 and raise
 ``DataContext.target_max_block_size`` so blocks aren't split absurdly
 small (one row per block is fine for video).
@@ -274,19 +274,19 @@ def resize_nearest(img: np.ndarray, t: int) -> np.ndarray:
 
 
 class DecodeImage:
-    """Actor-pool stage: payload → decoded pixel tensor + basic stats.
+    """Per-batch stage: payload → decoded pixel tensor + basic stats.
 
-    Real decode requires PIL/turbojpeg (absent here): ``fake=False``
-    raises NotImplementedError at first batch. ``fake=True`` produces a
+    PPM decodes natively, other formats need PIL (``fake=False`` raises
+    NotImplementedError without it). ``fake=True`` produces a
     deterministic (seeded by payload hash) uint8 array of the declared
-    dims — the Ray plumbing (constructor-once state, per-batch decode,
+    dims — the Ray plumbing (state broadcast once, per-batch decode,
     fixed-size-list output column) is identical either way."""
 
     def __init__(self, fake: bool = False, target_size: int = 64):
         if not isinstance(target_size, int) or target_size <= 0:
-            # fail at construction, not as a retried TypeError inside the
-            # actor pool ("None = native resolution" is NOT supported:
-            # the output column is a fixed-size list)
+            # fail at construction on the driver, not as a retried
+            # TypeError inside a task ("None = native resolution" is NOT
+            # supported: the output column is a fixed-size list)
             raise ValueError(f"target_size must be a positive int, got "
                              f"{target_size!r}")
         self.fake = fake
@@ -352,7 +352,7 @@ class DecodeImage:
 
 
 class ExtractAudioFeatures:
-    """Actor-pool stage: audio payload → fixed-length feature vector.
+    """Per-batch stage: audio payload → fixed-length feature vector.
 
     REAL path (default): parse PCM WAV with the stdlib ``wave`` module
     and compute 30 band RMS energies + overall RMS + zero-crossing rate
@@ -449,15 +449,14 @@ def sample_video_frames(batch: pa.Table, every_ms: int = 1000,
 
 def decode_images(ds: Dataset, fake: bool = False, target_size: int = 64,
                   batch_size: int = 32, concurrency: int = 4) -> Dataset:
-    """images → pixel tensors via the actor pool (see batch-size note in
-    the module docstring)."""
-    import ray as _ray
+    """images → pixel tensors via a :class:`DecodeImage` task stage (see
+    batch-size note in the module docstring). A bad ``target_size``
+    raises here, on the driver."""
+    from ocm_ray.engine.build import map_batches_with
 
-    n = int(_ray.cluster_resources().get("CPU", 8))
-    return ds.map_batches(DecodeImage, fn_constructor_kwargs={
-        "fake": fake, "target_size": target_size},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=max(1, min(concurrency, n // 2)), num_cpus=0.5)
+    dec = DecodeImage(fake=fake, target_size=target_size)
+    return map_batches_with(ds, dec, batch_format="pyarrow",
+                            batch_size=batch_size, concurrency=concurrency)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """End-to-end training-data curation pipeline — the composition a 100 TB
 corpus run would use, exercising every operator class in one flow:
 
-    read → text stats + quality score (actor pool) → quality filter →
+    read → text stats + quality score (task stage) → quality filter →
     exact dedup (content hash) → MinHash-LSH near-dedup → per-source
     HLL distinct + token counts → hive-partitioned Parquet output.
 
@@ -111,7 +111,7 @@ def curate(documents_path: str, out_dir: str, quality_min: float = 0.3,
         # (the rewrite's n_words/... stats are dropped — add_text_stats
         # recomputes them on the rewritten text)
 
-    # 1. per-doc stats + quality (actor pool), filter
+    # 1. per-doc stats + quality (task stage), filter
     scored = add_text_stats(ds, concurrency=concurrency)
     kept = scored.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("quality"),

@@ -15,8 +15,8 @@ contract once, in Python, for the Ray Data engine:
 * ``empty_like()`` — the merge identity, used by tree-merge reducers.
 
 Sketches are deliberately plain Python objects holding numpy arrays: Ray
-serializes them zero-copy via pickle5 buffers, and ``map_batches`` actor
-pools keep one per worker.
+serializes them zero-copy via pickle5 buffers, and
+``engine.build.map_batches_with`` stages keep one per worker process.
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ def ray_session():
 @pytest.fixture(scope="session")
 def reference_binaries(tmp_path_factory):
     """Compile the reference C++ binaries (conformance tests only).
-    Skips the dependent tests when g++ is unavailable."""
+    Skips the dependent tests when g++ or a reference source is
+    unavailable; a failed compile of a present source still errors."""
     import shutil
 
     if shutil.which("g++") is None:
@@ -50,6 +51,9 @@ def reference_binaries(tmp_path_factory):
     cm_bin = str(d / "ref_cm")
     for src, out in [("/root/reference/main.cpp", ocm_bin),
                      ("/root/reference/cm.cpp", cm_bin)]:
+        if not os.path.exists(src):
+            pytest.skip(f"reference source {src} absent; skipping "
+                        "reference-conformance tests")
         subprocess.run(["g++", "-std=c++17", "-O2", "-w", "-o", out, src],
                        check=True, capture_output=True)
     return {"ocm": ocm_bin, "cm": cm_bin}

@@ -322,6 +322,53 @@ def test_query_dataset(seq_dir, truth):
     assert (out["estimated_count"] >= out["true_count"]).all()
 
 
+def test_query_memo_keyed_by_ref():
+    """The query stage keeps one broadcast sketch per worker process,
+    keyed by its object ref: back-to-back queries over a multi-block
+    Dataset with two different sketches, then a k-gram query, each
+    estimate with their own sketch (a stale memo slot would reuse the
+    previous one)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocm_ray.engine.query import attach_estimates
+    from ocm_ray.engine.tokens import items_from_batch
+    from ocm_ray.sketches import CountMin
+
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, 3000, 4000)
+    pairs = rng.integers(0, 50, (4000, 2))
+
+    def query(ds, sk, col, kgram=1):
+        out = pa.concat_tables(
+            list(attach_estimates(ds, sk, item_col=col, kgram=kgram)
+                 .iter_batches(batch_format="pyarrow", batch_size=None)))
+        want = sk.estimate(items_from_batch(out, col, kgram))
+        np.testing.assert_array_equal(
+            out.column("estimated_count").to_numpy(), want)
+        return out
+
+    key_ds = rd.from_arrow([pa.table({"token": keys[i:i + 500]})
+                            for i in range(0, len(keys), 500)])
+    a, b = CountMin(9, 3, seedseed=1), CountMin(9, 3, seedseed=2)
+    a.update(keys.astype(np.uint64))
+    b.update(rng.integers(0, 3000, 40_000).astype(np.uint64))
+    assert not np.array_equal(a.estimate(keys.astype(np.uint64)),
+                              b.estimate(keys.astype(np.uint64)))
+    for sk in (a, b):
+        out = query(key_ds, sk, "token")
+        assert np.array_equal(np.sort(out.column("token").to_numpy()),
+                              np.sort(keys))
+
+    pair_tbl = pa.table({"pair": pa.array(pairs.tolist(),
+                                          pa.list_(pa.int64()))})
+    c = CountMin(9, 3, seedseed=3)
+    c.update(items_from_batch(pair_tbl, "pair", 2))
+    pair_ds = rd.from_arrow([pair_tbl.slice(i, 500)
+                             for i in range(0, len(pairs), 500)])
+    assert query(pair_ds, c, "pair", kgram=2).num_rows == len(pairs)
+
+
 @pytest.mark.parametrize("conservative", [False, True],
                          ids=["vanilla", "conservative"])
 def test_checkpoint_resume(seq_dir, tmp_path, conservative):
@@ -840,6 +887,22 @@ def test_occm_resume_loads_scan_checkpoint(occm_files, tmp_path,
         resumed, m2 = build(ck, resume=True)
         assert m2["scan"] == "files"
         assert_same(resumed, full)
+
+
+def test_occm_resume_of_finished_run_reads_nothing(occm_files, tmp_path):
+    """A resume with no round left to run returns the checkpointed
+    sketch before any scan: it succeeds with every input file gone."""
+    from ocm_ray.engine.checkpoint import RoundCheckpointer
+    from ocm_ray.engine.rounds import build_ocm
+
+    ck = RoundCheckpointer(str(tmp_path / "rounds"))
+    kw = dict(files=occm_files, np_bits=13, nh=3, rounds=2,
+              conservative=True, parallelism=4, on_round_end=ck)
+    full = build_ocm(**kw)
+    for f in occm_files:
+        os.remove(f)
+    resumed = build_ocm(**kw, resume_from=(1, ck.load(1)))
+    assert resumed.to_bytes() == full.to_bytes()
 
 
 def test_occm_dataset_path_writes_no_scan(seq_dir, tmp_path):

@@ -794,8 +794,10 @@ def test_multimodal_edge_payloads():
     """Null and tiny payloads must not NaN/TypeError the decode stages
     (read_webdataset yields null payloads for missing tar members)."""
     import pyarrow as pa
+    import ray.data
 
-    from ocm_ray.ops.multimodal import DecodeImage, ExtractAudioFeatures
+    from ocm_ray.ops.multimodal import (DecodeImage, ExtractAudioFeatures,
+                                        decode_images)
 
     t = pa.table({
         "media_id": pa.array([1, 2, 3], type=pa.int64()),
@@ -816,6 +818,8 @@ def test_multimodal_edge_payloads():
         DecodeImage(fake=True, target_size=None)
     with pytest.raises(ValueError):
         DecodeImage(fake=True, target_size=0)
+    with pytest.raises(ValueError):   # on the driver, at the call
+        decode_images(ray.data.from_arrow(t), target_size=0)
 
 
 def test_sequences_kwarg_cache_key(tmp_path):
