@@ -68,9 +68,21 @@ def _input_files(path: str):
     return sorted(glob.glob(path))
 
 
+def _write_sidecar(output: str, kind: str, args, fingerprint: str) -> None:
+    """``<output>.meta.json``: what a sketch file was built over — its
+    kind, the column and k-gram width of its items, and the input
+    fingerprint (``engine.checkpoint._fingerprint``: path, size and
+    mtime of every input file). ``sketch --merge-into`` checks the
+    column and k-gram width against it."""
+    with open(output + ".meta.json", "w") as f:
+        json.dump({"kind": kind, "column": args.column, "kgram": args.kgram,
+                   "input": fingerprint}, f)
+
+
 def cmd_count(args) -> int:
     from ocm_ray.engine.build import build_sketch_sharded
-    from ocm_ray.engine.checkpoint import RoundCheckpointer, build_sketch_checkpointed
+    from ocm_ray.engine.checkpoint import (RoundCheckpointer, _fingerprint,
+                                           build_sketch_checkpointed)
     from ocm_ray.engine.rounds import build_ocm
     from ocm_ray.sketches import CountMin
 
@@ -89,8 +101,6 @@ def cmd_count(args) -> int:
     if args.rounds > 1:
         hook = None
         if args.checkpoint_dir:
-            from ocm_ray.engine.checkpoint import _fingerprint
-
             # run identity: a rerun with different geometry/seed/corpus
             # must NOT resume from the old run's round files (rounds is
             # deliberately absent — round r is independent of the total)
@@ -125,6 +135,8 @@ def cmd_count(args) -> int:
     wall = time.time() - t0
     with open(args.output, "wb") as f:
         f.write(sk.to_bytes())
+    _write_sidecar(args.output, "ocm" if args.rounds > 1 else "countmin",
+                   args, _fingerprint(files))
     if args.reference_format:
         sk.save_reference_format(args.output + ".ref")
     meta = {"np_bits": np_bits, "nh": sk.nh, "rounds": args.rounds,
@@ -173,6 +185,7 @@ def cmd_query(args) -> int:
 def cmd_sketch(args) -> int:
     """Build any registered sketch kind over a column."""
     from ocm_ray.engine.build import build_sketch_sharded
+    from ocm_ray.engine.checkpoint import _fingerprint
     from ocm_ray.sketches import (
         KLL,
         PCSA,
@@ -253,6 +266,7 @@ def cmd_sketch(args) -> int:
         # sidecar does, so a fold of another column or k-gram width
         # fails here instead of mixing two item domains
         side = args.merge_into + ".meta.json"
+        prov = {}
         if os.path.isfile(side):
             with open(side) as f:
                 prov = json.load(f)
@@ -306,6 +320,7 @@ def cmd_sketch(args) -> int:
     sk = build_sketch_sharded(files, factories[args.kind], column=args.column,
                               kgram=args.kgram, shards=args.parallelism)
     merged_from = None
+    fingerprint = _fingerprint(files)
     if prior is not None:
         # incremental update: fold the NEW dump's sketch into the
         # persisted one (validated above). For ORDER-FREE sketches
@@ -322,11 +337,13 @@ def cmd_sketch(args) -> int:
             return 2
         sk = prior
         merged_from = args.merge_into
+        # the fold covers the prior's inputs too
+        if prov.get("input"):
+            fingerprint = ";".join(sorted(set(prov["input"].split(";"))
+                                          | set(fingerprint.split(";"))))
     with open(args.output, "wb") as f:
         f.write(sk.to_bytes())
-    with open(args.output + ".meta.json", "w") as f:
-        json.dump({"kind": args.kind, "column": args.column,
-                   "kgram": args.kgram}, f)
+    _write_sidecar(args.output, args.kind, args, fingerprint)
     info = {"kind": args.kind, "wall_sec": round(time.time() - t0, 3),
             "bytes": sk.nbytes}
     if merged_from:

@@ -39,7 +39,7 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import AggregateFnV2
 
-from ocm_ray.engine.tokens import items_from_batch
+from ocm_ray.engine.tokens import items_from_batch, token_ids
 from ocm_ray.ops.pairs import _as_arrow, iter_block_refs
 from ocm_ray.sketches.base import (CountCombiner, MergeableSketch,
                                    merge_sorted_counts)
@@ -185,15 +185,23 @@ def plan_shards(files: List[str], p: int,
     return sorted((sorted(g) for g in groups), key=lambda g: g[:1])
 
 
+def _file_token_ids(files: List[str], column: str, kgram: int,
+                    batch_size: int):
+    """:func:`~ocm_ray.engine.tokens.token_ids` of every Parquet row batch
+    of ``files``, in file and batch order — the one read loop of the
+    file-shard tasks."""
+    for f in files:
+        for rb in pq.ParquetFile(f).iter_batches(batch_size=batch_size,
+                                                 columns=[column]):
+            yield token_ids(rb, column, kgram)
+
+
 @ray.remote(num_cpus=1)
 def _build_file_shard(files: List[str], factory: SketchFactory, column: str,
                       kgram: int, batch_size: int) -> MergeableSketch:
     comb = CountCombiner(factory())
-    for f in files:
-        pf = pq.ParquetFile(f)
-        for rb in pf.iter_batches(batch_size=batch_size, columns=[column]):
-            comb.add(items_from_batch(pa.Table.from_batches([rb]), column,
-                                      kgram))
+    for ids in _file_token_ids(files, column, kgram, batch_size):
+        comb.add(ids)
     return comb.finish()
 
 
@@ -203,10 +211,8 @@ def shard_token_counts(files: List[str], column: str, kgram: int,
     """Exact (unique, count) table of one file shard — the cacheable
     pre-aggregate the multi-round driver reuses across passes."""
     comb = CountCombiner(None, flush_limit=1 << 62)  # pure counting, no sketch
-    for f in files:
-        for rb in pq.ParquetFile(f).iter_batches(batch_size=batch_size,
-                                                 columns=[column]):
-            comb.add(items_from_batch(pa.Table.from_batches([rb]), column, kgram))
+    for ids in _file_token_ids(files, column, kgram, batch_size):
+        comb.add(ids)
     return comb.drain_counts()
 
 
@@ -216,7 +222,7 @@ def block_token_counts(block, column: str, kgram: int):
     comb = CountCombiner(None, flush_limit=1 << 62)
     block = _as_arrow(block)
     if block.num_rows:  # an empty block may be schema-less (rule 8b)
-        comb.add(items_from_batch(block, column, kgram))
+        comb.add(token_ids(block, column, kgram))
     return comb.drain_counts()
 
 

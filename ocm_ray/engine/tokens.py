@@ -1,9 +1,11 @@
-"""Zero-copy extraction of sketchable uint64 items from Arrow batches.
+"""Zero-copy extraction of sketchable items from Arrow batches.
 
 The engine's native input column is ``tokens: list<int32>`` (the
 BASELINE.json input_hint shape). Batches arrive as ``pyarrow.Table``
 straight from the object store; we flatten the list column's values
-buffer to numpy without per-row Python and widen to uint64 (the sketch
+buffer to numpy without per-row Python or a copy. :func:`token_ids`
+hands those ids on at their stored width (what ``CountCombiner``
+counts); :func:`items_from_batch` widens them to uint64 (the sketch
 hash domain). ``kgram > 1`` reproduces the reference's rolling-window
 semantics (``include/ocm.h:85-105``) generalized to token ids: windows
 never cross row (document) boundaries, and each window is reduced to one
@@ -22,9 +24,16 @@ from ocm_ray.core.hashing import HASH_BLOCK, wanghash_inplace
 U64 = np.uint64
 
 
-def _flat_numpy(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
+def _one_array(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """The column as one Array: a one-chunk column's chunk as is (no
+    copy); only a column of several chunks is concatenated."""
     if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+        return arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    return arr
+
+
+def _flat_numpy(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    arr = _one_array(arr)
     if arr.null_count:
         # null elements would round-trip through float NaN and alias to
         # garbage ids — drop them (a null token is not an item)
@@ -43,8 +52,7 @@ def hash_string_array(arr: pa.ChunkedArray | pa.Array, seed: int = 137) -> np.nd
     another. Operates directly on the Arrow offsets/data buffers."""
     from ocm_ray.core.hashing import stable_hash_bytes
 
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = _one_array(arr)
     if arr.null_count:
         arr = arr.fill_null("")
     # large_binary gives a uniform int64-offset layout for every
@@ -66,8 +74,7 @@ def split_words_hashed(arr: pa.ChunkedArray | pa.Array, lowercase: bool = True,
     stable hash; no per-row Python."""
     import pyarrow.compute as pc
 
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = _one_array(arr)
     if arr.null_count:
         # null → "" BEFORE splitting: split_pattern yields null LISTS for
         # null inputs, whose NaN lengths + flatten()'s silent null-drop
@@ -83,9 +90,7 @@ def split_words_hashed(arr: pa.ChunkedArray | pa.Array, lowercase: bool = True,
 def list_column_values(batch: pa.Table, column: str) -> tuple[np.ndarray, np.ndarray]:
     """(flat_values, row_lengths) of a list column, zero-copy where the
     Arrow layout allows."""
-    col = batch.column(column)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = _one_array(batch.column(column))
     if not (pa.types.is_list(col.type) or pa.types.is_large_list(col.type)) \
             or col.null_count or col.values.null_count:
         # Non-list layouts (Ray's tensor extension) have no offsets buffer;
@@ -167,22 +172,29 @@ def word_kgram_hashes(arr: "pa.ChunkedArray | pa.Array", k: int,
     return (*kgram_windows(flat, lens, k), len(lens))
 
 
-def items_from_batch(batch: pa.Table, column: str = "tokens", kgram: int = 1,
-                     weights_column: Optional[str] = None) -> np.ndarray:
-    """uint64 item stream for one Arrow batch.
+def token_ids(batch: pa.Table, column: str = "tokens",
+              kgram: int = 1) -> np.ndarray:
+    """The item stream of one Arrow batch (or record batch) at its stored
+    width — what ``CountCombiner.add`` counts:
 
-    * list<int*> column → flattened values (kgram-windowed if kgram>1);
-    * integer column → values widened to uint64;
-    * string/binary column → stable 64-bit hashes.
+    * list<int*> column → the flattened values as stored (int32 ids stay
+      int32; no copy when the batch holds one chunk); kgram-windowed
+      uint64 hashes if kgram>1;
+    * integer column → its values as stored (``kgram`` is ignored);
+    * string/binary column → stable 64-bit hashes;
+    * float column → float64 values (the value sketches' input).
+
+    List values of another type are widened to uint64, as
+    :func:`items_from_batch` does.
     """
     col_type = batch.schema.field(column).type
     if pa.types.is_list(col_type) or pa.types.is_large_list(col_type):
         flat, lengths = list_column_values(batch, column)
         if kgram > 1:
             return kgram_reduce(flat, lengths, kgram)
-        return flat.astype(U64, copy=False)
+        return flat if flat.dtype.kind in "iu" else flat.astype(U64)
     if pa.types.is_integer(col_type):
-        return _flat_numpy(batch.column(column)).astype(U64, copy=False)
+        return _flat_numpy(batch.column(column))
     if pa.types.is_string(col_type) or pa.types.is_large_string(col_type) \
             or pa.types.is_binary(col_type) \
             or pa.types.is_large_binary(col_type):
@@ -191,3 +203,13 @@ def items_from_batch(batch: pa.Table, column: str = "tokens", kgram: int = 1,
         # value sketches (KLL/t-digest) take floats; reinterpret losslessly
         return _flat_numpy(batch.column(column)).astype(np.float64)
     raise TypeError(f"unsupported column type for sketching: {col_type}")
+
+
+def items_from_batch(batch: pa.Table, column: str = "tokens", kgram: int = 1,
+                     weights_column: Optional[str] = None) -> np.ndarray:
+    """uint64 item stream for one Arrow batch — the sketches' input:
+    :func:`token_ids` with integer ids widened to uint64 (negative ids
+    wrap) and float values passed through as float64.
+    """
+    items = token_ids(batch, column, kgram)
+    return items if items.dtype.kind == "f" else items.astype(U64, copy=False)

@@ -168,9 +168,18 @@ class CountCombiner:
     ``flush_limit``: when the table outgrows it, the sketch absorbs the
     counts and the table resets (still correct — sketch updates are
     multiset-additive).
+
+    ``add`` takes ids of any integer dtype at their stored width
+    (``engine.tokens.token_ids``). A batch whose ids all lie in
+    ``[0, DENSE_DOMAIN)`` is counted by ``np.bincount`` into a dense
+    array, widened only to ``intp`` one cache-sized chunk at a time; any
+    other batch is widened to uint64 (negative ids wrap, as the sketches'
+    uint64 domain does) and merged into the sorted-run table. Tables and
+    flushes depend only on the id values, never on their dtype.
     """
 
     DENSE_DOMAIN = 1 << 22  # ids below this use an O(1)-per-item dense array
+    BINCOUNT_CHUNK = 1 << 18  # ids widened to intp per bincount (2 MB)
 
     def __init__(self, sketch: Optional[MergeableSketch],
                  flush_limit: int = 1 << 22):
@@ -194,22 +203,14 @@ class CountCombiner:
             # value sketches (quantiles): no meaningful dedup — direct
             self.sketch.update(items)
             return
-        mx = int(items.max())
-        if mx < self.DENSE_DOMAIN and self.uniq is None:
-            # dense path: one sequential bincount pass per batch — ~10-20x
-            # cheaper than the sort-based unique for token-id domains
-            bc = np.bincount(items.astype(np.int64, copy=False))
-            if self.dense is None:
-                self.dense = bc.astype(np.int64)
-            else:
-                if len(bc) > len(self.dense):
-                    self.dense = np.concatenate(
-                        [self.dense, np.zeros(len(bc) - len(self.dense), np.int64)])
-                self.dense[:len(bc)] += bc
-            return
+        if self.uniq is None and (items.dtype.kind == "u" or items.min() >= 0):
+            mx = int(items.max())
+            if mx < self.DENSE_DOMAIN:
+                self._add_dense(items, mx)
+                return
         # generic path (unbounded domains: hashes, k-grams): sorted-run merge
         self._spill_dense()
-        u, c = dedupe_counts(items)
+        u, c = dedupe_counts(items.astype(np.uint64, copy=False))
         if self.uniq is None:
             self.uniq, self.cnt = u, c
         else:
@@ -224,6 +225,21 @@ class CountCombiner:
                     "to one (element, total_weight) row per element "
                     "upstream (grouped count tables) or raise flush_limit.")
             self.flush()
+
+    def _add_dense(self, items: np.ndarray, mx: int) -> None:
+        # dense path: sequential bincount passes — ~10-20x cheaper than the
+        # sort-based unique for token-id domains. bincount casts its input
+        # to intp anyway; casting a cache-sized chunk first keeps the
+        # widened copy in cache
+        if self.dense is None:
+            self.dense = np.zeros(mx + 1, np.int64)
+        elif mx >= len(self.dense):
+            self.dense = np.concatenate(
+                [self.dense, np.zeros(mx + 1 - len(self.dense), np.int64)])
+        for b in range(0, len(items), self.BINCOUNT_CHUNK):
+            bc = np.bincount(items[b:b + self.BINCOUNT_CHUNK]
+                             .astype(np.intp, copy=False))
+            self.dense[:len(bc)] += bc
 
     def _spill_dense(self) -> None:
         if self.dense is not None:

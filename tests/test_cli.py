@@ -1,6 +1,7 @@
 """CLI smoke: count → query → sketch subcommands in subprocesses (each
 owns its own local Ray session, independent of the test session)."""
 
+import glob
 import json
 import os
 import subprocess
@@ -333,6 +334,24 @@ def test_cli_count_rounds_resume_loads_scan(small_seq, tmp_path):
     assert open(rerun, "rb").read() == open(first, "rb").read()
 
 
+def test_cli_count_writes_sidecar(small_seq, tmp_path):
+    """`count` writes the same <output>.meta.json sidecar as `sketch`:
+    kind (countmin for one round, ocm for several), column, k-gram width
+    and the input fingerprint."""
+    from ocm_ray.engine.checkpoint import _fingerprint
+
+    fp = _fingerprint(glob.glob(f"{small_seq}/*.parquet"))
+    for rounds, kind in (("1", "countmin"), ("2", "ocm")):
+        out = str(tmp_path / f"{kind}.sk")
+        r = _run(["count", "-n", rounds, "-w", "4096", "--nh", "3",
+                  "--kgram", "2", "--input", small_seq, "-o", out,
+                  "--num-cpus", "4"])
+        assert r.returncode == 0, r.stderr[-500:]
+        with open(out + ".meta.json") as f:
+            assert json.load(f) == {"kind": kind, "column": "tokens",
+                                    "kgram": 2, "input": fp}
+
+
 def test_cli_value_sketch_quantiles(small_seq, tmp_path):
     """Value-sketch builds report p50/p90/p99 so the CLI is usable
     without loading the sketch file; KLL and DDSketch must agree
@@ -661,6 +680,12 @@ def test_cli_sketch_merge_into(small_seq, tmp_path):
     assert r.returncode == 0, r.stderr[-500:]
     assert json.loads(r.stdout.strip().splitlines()[-1])["merged_into"] \
         == a_sk
+    # the fold's sidecar covers both dumps' inputs
+    from ocm_ray.engine.checkpoint import _fingerprint
+
+    with open(merged + ".meta.json") as f:
+        assert json.load(f)["input"] == _fingerprint(
+            glob.glob(f"{half_a}/*.parquet") + glob.glob(f"{half_b}/*.parquet"))
     full = str(tmp_path / "full.sk")
     r = _run(["sketch", "--kind", "hll", "-p", "12", "--input", small_seq,
               "-o", full, "--num-cpus", "4"])
@@ -701,9 +726,12 @@ def test_cli_sketch_merge_into_provenance(small_seq, tmp_path):
     r = _run(["sketch", "--kind", "hll", "-p", "12", "--input", small_seq,
               "-o", a_sk, "--num-cpus", "4"])
     assert r.returncode == 0, r.stderr[-500:]
+    from ocm_ray.engine.checkpoint import _fingerprint
+
     with open(a_sk + ".meta.json") as f:
         assert json.load(f) == {"kind": "hll", "column": "tokens",
-                                "kgram": 1}
+                                "kgram": 1, "input": _fingerprint(
+                                    glob.glob(f"{small_seq}/*.parquet"))}
     for extra in (["--kgram", "2"], ["--column", "n_tok"]):
         r = _run(["sketch", "--kind", "hll", "-p", "12", "--input",
                   small_seq, "--merge-into", a_sk, *extra,

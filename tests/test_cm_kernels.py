@@ -19,8 +19,10 @@ import pytest
 from ocm_ray.core.hashing import (HASH_BLOCK, _wang_block, derive_seeds,
                                   positions, wanghash, wanghash_inplace,
                                   wanghash_scalar)
-from ocm_ray.engine.tokens import (items_from_batch, split_words_hashed,
-                                   token_kgram_hashes, word_kgram_hashes)
+from ocm_ray.engine.tokens import (hash_string_array, items_from_batch,
+                                   list_column_values, split_words_hashed,
+                                   token_ids, token_kgram_hashes,
+                                   word_kgram_hashes)
 from ocm_ray.sketches import countmin
 from ocm_ray.sketches.base import CountCombiner, dedupe_counts
 from ocm_ray.sketches.countmin import CountMin, OfflineCountMin
@@ -218,6 +220,128 @@ def test_combiner_handover_is_sorted_unique():
         comb.add(rng.integers(0, 1 << 40, 2000, dtype=np.uint64))
     u = comb.uniq
     assert (u[1:] > u[:-1]).all()
+
+
+def _id_batches(dtype):
+    """Seeded id batches representable in ``dtype``: two dense batches,
+    one that forces the sorted-run table (a negative id for signed
+    dtypes, an id >= DENSE_DOMAIN for the wide ones), a dense one after
+    it, and a last dense batch."""
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    info = np.iinfo(dtype)
+    dense = lambda n: rng.integers(0, min(200, info.max), n)  # noqa: E731
+    odd = [dense(300)]
+    if info.min < 0:
+        odd.append(rng.integers(info.min, 0, 40))
+    if info.max >= CountCombiner.DENSE_DOMAIN:
+        odd.append(rng.integers(CountCombiner.DENSE_DOMAIN,
+                                min(info.max, 1 << 40), 40))
+    batches = [dense(500), dense(400), np.concatenate(odd), dense(300),
+               dense(200)]
+    return [b.astype(dtype) for b in batches]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint32, np.uint64])
+def test_combiner_dtype_contract(dtype):
+    """Ids reach the combiner at their stored width: the tables and the
+    flushed sketch equal those of the same stream widened to uint64
+    (negative ids wrap), for dense, sorted-run and mid-stream-flush
+    batches alike."""
+    batches = _id_batches(dtype)
+    wide = [b.astype(np.uint64) for b in batches]
+
+    def drained(stream):
+        comb = CountCombiner(None, flush_limit=1 << 62)
+        for b in stream:
+            comb.add(b)
+        return comb.drain_counts()
+
+    u, c = drained(batches)
+    ref_u, ref_c = np.unique(np.concatenate(wide), return_counts=True)
+    for want in (drained(wide), (ref_u, ref_c)):
+        assert u.dtype == np.uint64 and c.dtype == np.int64
+        assert np.array_equal(u, want[0]) and np.array_equal(c, want[1])
+
+    def finished(stream):
+        comb = CountCombiner(CountMin(10, 4, conservative=True,
+                                      counter_dtype="int32"), flush_limit=50)
+        for b in stream:
+            comb.add(b)
+        return comb.finish().to_bytes()
+
+    assert finished(batches) == finished(wide)
+
+
+class _CastLog(np.ndarray):
+    """An ndarray that records the dtypes it is cast to."""
+    casts: list = []
+
+    def astype(self, dtype, *args, **kw):
+        _CastLog.casts.append(np.dtype(dtype))
+        return np.asarray(self).astype(dtype, *args, **kw)
+
+
+def test_combiner_dense_path_never_widens_to_uint64():
+    """A bounded-vocabulary batch is counted at its stored width: the
+    only cast on the dense path is bincount's intp."""
+    ids = np.arange(3 * CountCombiner.BINCOUNT_CHUNK + 5, dtype=np.int32) % 37
+    _CastLog.casts = []
+    comb = CountCombiner(None)
+    comb.add(ids.view(_CastLog))
+    assert set(_CastLog.casts) == {np.dtype(np.intp)}
+    u, c = comb.drain_counts()
+    assert np.array_equal(u, np.arange(37)) and np.array_equal(c, np.bincount(ids))
+
+
+def _combined(tbl):
+    """``tbl`` with every column concatenated into one chunk."""
+    return pa.table({n: tbl.column(n).combine_chunks()
+                     for n in tbl.column_names})
+
+
+def test_extraction_edge_layouts_equal_combined_chunks():
+    """Two-chunk columns, sliced list arrays (offset != 0) and lists with
+    nulls (the row-assembly fallback) extract the same values as the
+    concatenated column, and token_ids keeps the stored width."""
+    toks = pa.array([[1, 2, 3], [4], [], [5, 6], [7, 8, 9, 10], [11]],
+                    type=pa.list_(pa.int32()))
+    words = pa.array(["a b", "c", None, "d e f", "", "g"])
+    with_nulls = pa.array([[1, 2], None, [3, None, 4], [], [5]],
+                          type=pa.list_(pa.int32()))
+    tables = [
+        pa.table({"t": pa.chunked_array([toks.slice(0, 2), toks.slice(2)]),
+                  "w": pa.chunked_array([words.slice(0, 4), words.slice(4)])}),
+        pa.table({"t": toks.slice(2, 3), "w": words.slice(2, 3)}),
+        pa.table({"t": pa.chunked_array([toks.slice(1, 4)]),
+                  "w": pa.chunked_array([words.slice(1, 4)])}),
+        pa.table({"t": with_nulls, "w": words.slice(0, 5)}),
+        pa.table({"t": pa.chunked_array([with_nulls.slice(1, 3),
+                                         with_nulls.slice(4)]),
+                  "w": pa.chunked_array([words.slice(1, 3),
+                                         words.slice(4, 1)])}),
+    ]
+    for tbl in tables:
+        ref = _combined(tbl)
+        rows = [[x for x in (r or []) if x is not None]
+                for r in tbl.column("t").to_pylist()]
+        flat, lens = list_column_values(tbl, "t")
+        ref_flat, ref_lens = list_column_values(ref, "t")
+        assert flat.tolist() == ref_flat.tolist() == sum(rows, [])
+        assert lens.tolist() == ref_lens.tolist() == [len(r) for r in rows]
+        for k in (1, 2):
+            ids = token_ids(tbl, "t", k)
+            assert np.array_equal(ids, token_ids(ref, "t", k))
+            assert np.array_equal(items_from_batch(tbl, "t", k),
+                                  ids.astype(np.uint64))
+        if not tbl.column("t").null_count:
+            assert token_ids(tbl, "t").dtype == np.int32
+        w = tbl.column("w")
+        assert np.array_equal(hash_string_array(w),
+                              hash_string_array(ref.column("w")))
+        for got, want in zip(split_words_hashed(w),
+                             split_words_hashed(ref.column("w"))):
+            assert np.array_equal(got, want)
 
 
 # ---- blocked hashing equals the unblocked formulas ----------------------------

@@ -925,6 +925,48 @@ def test_occm_dataset_path_writes_no_scan(seq_dir, tmp_path):
         assert not [f for f in os.listdir(d) if f.startswith("scan")]
 
 
+def test_stored_width_ids_build_like_uint64_stream(tmp_path):
+    """list<int64> tokens holding a negative id and an id >= 2^22 (both
+    off the combiner's dense path) build the same sketches as the
+    uint64-widened stream: a vanilla CM through build_sketch_sharded
+    equals CountMin.update of the widened ids, and build_ocm(files=)
+    equals the build over the same rows stored as list<uint64>."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ocm_ray.engine.build import build_sketch_sharded
+    from ocm_ray.engine.rounds import build_ocm
+    from ocm_ray.sketches import CountMin
+
+    rng = np.random.default_rng(11)
+    rows = [list(rng.integers(0, 500, 30)) for _ in range(40)]
+    rows[3] += [-7, 1 << 22, -7]
+    rows[17] += [(1 << 40) + 3, -1]
+    flat = np.concatenate(rows).astype(np.int64)
+    paths = {}
+    for name, typ in (("i64", pa.int64()), ("u64", pa.uint64())):
+        paths[name] = [str(tmp_path / f"{name}-{i}.parquet") for i in range(2)]
+        for i, path in enumerate(paths[name]):
+            vals = [np.asarray(r, dtype=np.int64).astype(typ.to_pandas_dtype())
+                    for r in rows[i::2]]
+            pq.write_table(pa.table({"tokens": pa.array(vals,
+                                                        type=pa.list_(typ))}),
+                           path, row_group_size=7)
+
+    want = CountMin(12, 4)
+    want.update(flat.astype(np.uint64))
+    for shards in (1, 2):
+        got = build_sketch_sharded(paths["i64"], lambda: CountMin(12, 4),
+                                   shards=shards, batch_size=5)
+        assert got.to_bytes() == want.to_bytes()
+    for conservative in (False, True):
+        a, b = (build_ocm(files=paths[name], np_bits=10, nh=3, rounds=3,
+                          conservative=conservative, parallelism=2)
+                for name in ("i64", "u64"))
+        assert a.to_bytes() == b.to_bytes()
+        assert a.total_items == len(flat)
+
+
 def test_items_from_batch_large_binary():
     """large_binary columns (polars / >2GB Arrow promotion) hash
     identically to binary ones instead of raising TypeError."""
