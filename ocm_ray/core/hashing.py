@@ -18,6 +18,8 @@ it re-derives seeds from a sketch header (``main.cpp:106-120``).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 U64 = np.uint64
@@ -40,16 +42,23 @@ def wanghash(keys: np.ndarray) -> np.ndarray:
 
 def wanghash_inplace(key: np.ndarray) -> np.ndarray:
     """:func:`wanghash` over a writable uint64 array, overwriting it
-    (returns it), :data:`HASH_BLOCK` keys at a time."""
+    (returns it), :data:`HASH_BLOCK` keys at a time through one scratch
+    block."""
     if not key.flags.c_contiguous:
         return _wang_block(key)
     flat = key.reshape(-1)
+    tmp = np.empty(min(flat.size, HASH_BLOCK), dtype=U64)
     for b in range(0, flat.size, HASH_BLOCK):
-        _wang_block(flat[b:b + HASH_BLOCK])
+        blk = flat[b:b + HASH_BLOCK]
+        _wang_block(blk, tmp[:len(blk)])
     return key
 
 
-def _wang_block(key: np.ndarray) -> np.ndarray:
+def _wang_block(key: np.ndarray, tmp: Optional[np.ndarray] = None,
+                ) -> np.ndarray:
+    """Wang-hash ``key`` in place; ``tmp`` (uint64, ``key``'s shape) is
+    the scratch the three shift-xors write into, so a caller hashing
+    block after block allocates it once. Returns ``key``."""
     # algebraically identical to the reference's shift-add form, folded
     # to modular multiplies and IN-PLACE ops — (~k)+(k<<21) ≡ k·(2^21−1)−1,
     # k+(k<<3)+(k<<8) ≡ k·265, k+(k<<2)+(k<<4) ≡ k·21, k+(k<<31) ≡
@@ -57,14 +66,19 @@ def _wang_block(key: np.ndarray) -> np.ndarray:
     # literal transcription — this hash IS the hot loop of every sketch
     # build (bit-exactness property-tested against the scalar form and
     # the reference binaries).
+    if tmp is None:
+        tmp = np.empty_like(key)
     with np.errstate(over="ignore"):
         key *= U64(2097151)
         key -= U64(1)
-        key ^= key >> U64(24)
+        np.right_shift(key, U64(24), out=tmp)
+        key ^= tmp
         key *= U64(265)
-        key ^= key >> U64(14)
+        np.right_shift(key, U64(14), out=tmp)
+        key ^= tmp
         key *= U64(21)
-        key ^= key >> U64(28)
+        np.right_shift(key, U64(28), out=tmp)
+        key ^= tmp
         key *= U64(2147483649)
     return key
 
@@ -150,19 +164,21 @@ def positions(vals: np.ndarray, seeds: np.ndarray, np_bits: int) -> np.ndarray:
     a row-major ``nh * 2^np`` counter array. It is the transpose of a
     C-order (nh, len(vals)) buffer, one contiguous row per seed, so
     ``pos.T`` is the fast layout for row-wise gathers and scatters.
-    Hashes :data:`HASH_BLOCK` keys at a time, in place in that buffer.
+    Hashes :data:`HASH_BLOCK` keys at a time, in place in that buffer,
+    with one scratch block per call.
     """
     vals = np.asarray(vals).astype(U64, copy=False)
     n = len(vals)
     mask = U64((1 << np_bits) - 1)
     out = np.empty((len(seeds), n), dtype=np.int64)
     rows = out.view(U64)
+    tmp = np.empty(min(n, HASH_BLOCK), dtype=U64)
     for b in range(0, n, HASH_BLOCK):
         e = min(b + HASH_BLOCK, n)
         for j, s in enumerate(seeds):
             h = rows[j, b:e]
             np.bitwise_xor(vals[b:e], U64(s), out=h)
-            _wang_block(h)
+            _wang_block(h, tmp[:e - b])
             h &= mask
             h += U64(j << np_bits)
     return out.T

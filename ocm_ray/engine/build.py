@@ -97,6 +97,30 @@ def map_batches_with(ds: Dataset, state, **map_kw) -> Dataset:
                           **map_kw)
 
 
+def check_one_partial(factory: SketchFactory, n_partials: int,
+                      fix: str) -> None:
+    """Raise ``ValueError`` when ``n_partials`` > 1 partials of a
+    final-weight sketch (``weight_additive=False``: cws, pmh) would
+    merge. Each partial holds only its own share of an element's
+    weight, so the merged sketch would be silently wrong; ``fix`` names
+    the build's own way to keep one partial. A class or a
+    ``functools.partial`` of one is read without building a sketch."""
+    if n_partials < 2:
+        return
+    kind = factory
+    while isinstance(kind, functools.partial):
+        kind = kind.func
+    if not isinstance(kind, type):
+        kind = type(factory())
+    if not kind.weight_additive:
+        raise ValueError(
+            f"{kind.__name__} takes FINAL weights "
+            "(weight_additive=False): merging partial sketches would split "
+            f"element weights across them. Use {fix}, or build it from "
+            "pre-aggregated counts: sketch.update(items, counts) over one "
+            "(element, total weight) table.")
+
+
 def merge_sketches(a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:
     return a.ensure_writable().merge(b)
 
@@ -132,10 +156,15 @@ def build_sketch(ds: Dataset, factory: SketchFactory, column: str = "tokens",
     tasks depend only on blocks that already exist, so they can never
     starve the Dataset's own read tasks of CPUs (the wedge a consumer
     pool pulling from a running pipeline can hit, rule 1). A
-    Dataset with no rows yields ``factory()``'s empty sketch."""
+    Dataset with no rows yields ``factory()``'s empty sketch. Blocks
+    fold one update each, so a final-weight sketch (cws, pmh) raises
+    ``ValueError`` once a second block arrives."""
     p = parallelism or int(ray.cluster_resources().get("CPU", 8))
     lanes: List[Optional[ray.ObjectRef]] = [None] * p
     for j, block in enumerate(iter_block_refs(ds)):
+        if j == 1:
+            check_one_partial(factory, 2, "a one-block Dataset, or "
+                              "build_sketch_sharded(..., shards=1) on files")
         lanes[j % p] = _fold_block.remote(lanes[j % p], block, factory,
                                           column, kgram)
     refs = [r for r in lanes if r is not None]
@@ -243,7 +272,8 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     halving the scatter working set roughly doubles throughput under
     memory-bandwidth contention; merge into int64 where totals demand it.
     A conservative update that would push an int32 cell past 2^31-1
-    raises ``OverflowError`` rather than wrapping.
+    raises ``OverflowError`` rather than wrapping. A final-weight sketch
+    (cws, pmh) raises ``ValueError`` unless the plan has one shard.
     """
     n = int(ray.cluster_resources().get("CPU", 8))
     # shard tasks do their own IO — no separate read operator to starve —
@@ -255,8 +285,10 @@ def build_sketch_sharded(files: List[str], factory: SketchFactory,
     # tasks on 8 cores and halved the measured scaling efficiency).
     # Callers with tiny sketches can pass shards=n.
     default = n if n <= 8 else max(8, n // 2)
+    plan = plan_shards(files, shards or default, column)
+    check_one_partial(factory, len(plan), "shards=1")
     refs = [_build_file_shard.remote(grp, factory, column, kgram, batch_size)
-            for grp in plan_shards(files, shards or default, column)]
+            for grp in plan]
     return tree_merge(refs)
 
 

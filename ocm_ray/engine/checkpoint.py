@@ -118,11 +118,13 @@ def build_sketch_checkpointed(files: List[str], factory, ckpt_dir: str,
     """Build a sketch over Parquet files with per-shard checkpoints.
 
     Returns the merged sketch; on a rerun only missing/stale shards are
-    recomputed (kill-and-resume integration-tested).
+    recomputed (kill-and-resume integration-tested). A final-weight
+    sketch (cws, pmh) raises ``ValueError`` unless the plan has one shard.
     """
     os.makedirs(ckpt_dir, exist_ok=True)
     files = sorted(files)
     groups = build.plan_shards(files, shards or len(files), column)
+    build.check_one_partial(factory, len(groups), "shards=1")
 
     refs, saves, resumed = [], [], 0
     for sid, grp in enumerate(groups):

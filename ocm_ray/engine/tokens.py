@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from ocm_ray.core.hashing import HASH_BLOCK, wanghash_inplace
+from ocm_ray.core.hashing import HASH_BLOCK, _wang_block
 
 U64 = np.uint64
 
@@ -111,6 +111,33 @@ def list_column_values(batch: pa.Table, column: str) -> tuple[np.ndarray, np.nda
     return flat, lengths
 
 
+def _window_hashes(flat: np.ndarray, lengths: np.ndarray, k: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(hashes, valid)`` over every window start of the flat stream:
+    the chained hash of each k consecutive items, and a mask of the
+    windows that stay inside one row. Hashes :data:`HASH_BLOCK` windows
+    at a time, in place in the output, through one scratch block."""
+    flat = flat.astype(U64, copy=False)
+    nw = max(len(flat) - k + 1, 0)
+    acc = np.empty(nw, dtype=U64)
+    tmp = np.empty(min(nw, HASH_BLOCK), dtype=U64)
+    for b in range(0, nw, HASH_BLOCK):
+        e = min(b + HASH_BLOCK, nw)
+        h, t = acc[b:e], tmp[:e - b]
+        h[:] = flat[b:e]
+        _wang_block(h, t)
+        for j in range(1, k):
+            h ^= flat[b + j:e + j]
+            _wang_block(h, t)
+    # a window starting d < k positions before a row start crosses it
+    valid = np.ones(nw, dtype=bool)
+    starts = np.cumsum(lengths)[:-1]
+    for d in range(1, k):
+        s = starts - d
+        valid[s[(s >= 0) & (s < nw)]] = False
+    return acc, valid
+
+
 def kgram_windows(flat: np.ndarray, lengths: np.ndarray, k: int,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``(gram_hashes uint64, gram_rowid int64)``: one hash per
@@ -122,29 +149,16 @@ def kgram_windows(flat: np.ndarray, lengths: np.ndarray, k: int,
     :data:`~ocm_ray.core.hashing.HASH_BLOCK` at a time, in place in the
     output, so the k chained hashes of a block stay in cache.
     """
-    flat = flat.astype(U64, copy=False)
-    n = len(flat)
-    if n < k:
-        return np.empty(0, dtype=U64), np.empty(0, dtype=np.int64)
-    nw = n - k + 1
-    acc = np.empty(nw, dtype=U64)
-    for b in range(0, nw, HASH_BLOCK):
-        e = min(b + HASH_BLOCK, nw)
-        h = acc[b:e]
-        h[:] = flat[b:e]
-        wanghash_inplace(h)
-        for j in range(1, k):
-            h ^= flat[b + j:e + j]
-            wanghash_inplace(h)
+    acc, valid = _window_hashes(flat, lengths, k)
     rowid = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    valid = rowid[:nw] == rowid[k - 1:]
-    return acc[valid], rowid[:nw][valid]
+    return acc[valid], rowid[:len(valid)][valid]
 
 
 def kgram_reduce(flat: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
     """One uint64 item per within-row window of k consecutive tokens
-    (the hashes of :func:`kgram_windows`)."""
-    return kgram_windows(flat, lengths, k)[0]
+    (the hashes of :func:`kgram_windows`, without their row ids)."""
+    acc, valid = _window_hashes(flat, lengths, k)
+    return acc[valid]
 
 
 def token_kgram_hashes(batch: pa.Table, column: str, k: int,

@@ -27,6 +27,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from ocm_ray.engine.build import tree_reduce
+from ocm_ray.engine.tokens import _one_array
 from ocm_ray.ops.pairs import _as_arrow, iter_block_refs
 
 
@@ -114,9 +115,7 @@ def grouped_topk(ds: Dataset, keys: List[str], rank_col: str, k: int,
         new_key = np.zeros(n, dtype=bool)
         new_key[0] = True
         for c in keys:
-            col = t.column(c)
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            col = _one_array(t.column(c))
             a, b = col.slice(1), col.slice(0, n - 1)
             # null-aware boundary (SQL semantics: NULLs form ONE group):
             # change iff null-ness differs, or both non-null and unequal

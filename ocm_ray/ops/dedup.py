@@ -31,6 +31,7 @@ import ray
 from ray.data import Dataset
 
 from ocm_ray.core.hashing import derive_seeds, wanghash
+from ocm_ray.engine.tokens import _one_array
 
 U64 = np.uint64
 
@@ -222,13 +223,11 @@ def minhash_lsh_pairs(ds: Dataset, id_col: str = "doc_id",
         if batch.num_rows == 0:     # may arrive schema-less (rule 8b)
             return pa.table({})
         n = batch.num_rows
-        sig = (batch.column("sig").combine_chunks().flatten()
+        sig = (_one_array(batch.column("sig")).flatten()
                .to_numpy(zero_copy_only=False).view(U64).reshape(n, num_perm))
         live = _live_signature_rows(sig)
         keys = _band_keys(sig[live], bands)
-        ids = batch.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        ids = _one_array(batch.column(id_col))
         rep = ids.take(pa.array(np.repeat(np.flatnonzero(live), bands)))
         return pa.table({"key": pa.array(keys.ravel().view(np.int64)),
                          "id": rep})
@@ -342,9 +341,7 @@ def exact_jaccard_pairs(ds: Dataset, id_col: str = "doc_id",
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
         rs, fs, _ = _distinct_doc_shingles(batch, id_col, text_col, shingle_k)
-        ids = batch.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        ids = _one_array(batch.column(id_col))
         return pa.table({"key": pa.array(fs.view(np.int64)),
                          "id": ids.take(pa.array(rs))})
 
@@ -525,9 +522,7 @@ def simhash_pairs(ds: Dataset, id_col: str = "doc_id", text_col: str = "text",
         for band in range(4):
             frag = (h >> U64(band * 16)) & U64(0xFFFF)
             keys[:, band] = wanghash(frag | (U64(band) << U64(16)))
-        ids = batch.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        ids = _one_array(batch.column(id_col))
         rep = ids.take(pa.array(np.repeat(np.arange(n, dtype=np.int64), 4)))
         return pa.table({"key": pa.array(keys.ravel().view(np.int64)),
                          "id": rep})

@@ -29,6 +29,8 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
+from ocm_ray.engine.tokens import _one_array
+
 U64 = np.uint64
 
 
@@ -331,9 +333,7 @@ def collision_pairs(band_ds: Dataset, n_shards: int = 64,
     def scan(group: pa.Table) -> pa.Table:
         key = group.column(key_col).to_numpy(zero_copy_only=False).view(U64)
         ii, jj = _scan_runs(key, max_bucket)
-        ids = group.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        ids = _one_array(group.column(id_col))
         a = ids.take(pa.array(ii))
         b = ids.take(pa.array(jj))
         # canonicalize a < b elementwise (works for ints and strings)

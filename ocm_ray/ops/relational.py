@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from ocm_ray.engine.tokens import _one_array
 from ocm_ray.ops.agg import grouped_sum, grouped_topk
 
 
@@ -72,9 +73,7 @@ def distinct_count(ds: Dataset, column: str) -> int:
     unique (shrinks blocks to distinct values), then the keys-only
     ``grouped_sum`` fold."""
     def local(batch: pa.Table) -> pa.Table:
-        vals = batch.column(column)
-        return pa.table({column: pc.unique(
-            vals.combine_chunks() if isinstance(vals, pa.ChunkedArray) else vals)})
+        return pa.table({column: pc.unique(_one_array(batch.column(column)))})
 
     return grouped_sum(ds.map_batches(local, batch_format="pyarrow"),
                        [column], []).count()

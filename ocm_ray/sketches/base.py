@@ -174,12 +174,23 @@ class CountCombiner:
     ``[0, DENSE_DOMAIN)`` is counted by ``np.bincount`` into a dense
     array, widened only to ``intp`` one cache-sized chunk at a time; any
     other batch is widened to uint64 (negative ids wrap, as the sketches'
-    uint64 domain does) and merged into the sorted-run table. Tables and
+    uint64 domain does) and goes to the sorted-run table. Tables and
     flushes depend only on the id values, never on their dtype.
+
+    Sorted-run batches are held raw, not merged one by one: while the
+    table rows plus the held items stay within ``flush_limit`` no flush
+    can happen, so up to :data:`HOLD_CAP` held items wait and are
+    deduplicated by one sort when the table is needed (``flush``,
+    ``finish``, ``drain_counts``, a batch that could cross
+    ``flush_limit``, the cap, or a read of ``uniq``/``cnt``). Flush
+    points and tables are those of a merge per batch. A held batch is
+    kept by reference, so callers must not write into an array after
+    passing it to ``add``.
     """
 
     DENSE_DOMAIN = 1 << 22  # ids below this use an O(1)-per-item dense array
     BINCOUNT_CHUNK = 1 << 18  # ids widened to intp per bincount (2 MB)
+    HOLD_CAP = 1 << 22  # raw sorted-run items held before one sort (32 MB)
 
     def __init__(self, sketch: Optional[MergeableSketch],
                  flush_limit: int = 1 << 22):
@@ -192,9 +203,23 @@ class CountCombiner:
         # unbounded table.
         self._weight_additive = sketch is None or sketch.weight_additive
         self.flush_limit = flush_limit
-        self.uniq: Optional[np.ndarray] = None
-        self.cnt: Optional[np.ndarray] = None
+        self._uniq: Optional[np.ndarray] = None
+        self._cnt: Optional[np.ndarray] = None
+        self._held: list = []  # raw uint64 sorted-run batches, not yet sorted
+        self._n_held = 0
         self.dense: Optional[np.ndarray] = None  # counts indexed by token id
+
+    @property
+    def uniq(self) -> Optional[np.ndarray]:
+        """Sorted unique items of the table so far (None when empty)."""
+        self._settle()
+        return self._uniq
+
+    @property
+    def cnt(self) -> Optional[np.ndarray]:
+        """int64 counts aligned with :attr:`uniq`."""
+        self._settle()
+        return self._cnt
 
     def add(self, items: np.ndarray) -> None:
         if len(items) == 0:
@@ -203,19 +228,26 @@ class CountCombiner:
             # value sketches (quantiles): no meaningful dedup — direct
             self.sketch.update(items)
             return
-        if self.uniq is None and (items.dtype.kind == "u" or items.min() >= 0):
+        if self._uniq is None and not self._held \
+                and (items.dtype.kind == "u" or items.min() >= 0):
             mx = int(items.max())
             if mx < self.DENSE_DOMAIN:
                 self._add_dense(items, mx)
                 return
-        # generic path (unbounded domains: hashes, k-grams): sorted-run merge
+        # generic path (unbounded domains: hashes, k-grams): sorted runs
         self._spill_dense()
-        u, c = dedupe_counts(items.astype(np.uint64, copy=False))
-        if self.uniq is None:
-            self.uniq, self.cnt = u, c
-        else:
-            self.uniq, self.cnt = merge_sorted_counts(self.uniq, self.cnt, u, c)
-        if len(self.uniq) > self.flush_limit:
+        items = items.astype(np.uint64, copy=False)
+        rows = 0 if self._uniq is None else len(self._uniq)
+        if rows + self._n_held + len(items) <= self.flush_limit:
+            # the table cannot outgrow flush_limit before these settle
+            self._held.append(items)
+            self._n_held += len(items)
+            if self._n_held >= self.HOLD_CAP:
+                self._settle()
+            return
+        self._settle()
+        self._merge(*dedupe_counts(items))
+        if len(self._uniq) > self.flush_limit:
             if not self._weight_additive:
                 raise ValueError(
                     f"{type(self.sketch).__name__} takes FINAL weights "
@@ -225,6 +257,21 @@ class CountCombiner:
                     "to one (element, total_weight) row per element "
                     "upstream (grouped count tables) or raise flush_limit.")
             self.flush()
+
+    def _merge(self, u: np.ndarray, c: np.ndarray) -> None:
+        if self._uniq is None:
+            self._uniq, self._cnt = u, c
+        else:
+            self._uniq, self._cnt = merge_sorted_counts(self._uniq, self._cnt,
+                                                        u, c)
+
+    def _settle(self) -> None:
+        """Dedupe the held batches with one sort into the table."""
+        if self._held:
+            held = self._held
+            self._held, self._n_held = [], 0
+            self._merge(*dedupe_counts(
+                held[0] if len(held) == 1 else np.concatenate(held)))
 
     def _add_dense(self, items: np.ndarray, mx: int) -> None:
         # dense path: sequential bincount passes — ~10-20x cheaper than the
@@ -246,16 +293,14 @@ class CountCombiner:
             nz = np.flatnonzero(self.dense)
             u, c = nz.astype(np.uint64), self.dense[nz]
             self.dense = None
-            if self.uniq is None:
-                self.uniq, self.cnt = u, c
-            else:
-                self.uniq, self.cnt = merge_sorted_counts(self.uniq, self.cnt, u, c)
+            self._merge(u, c)
 
     def flush(self) -> None:
+        self._settle()
         self._spill_dense()
-        if self.uniq is not None and len(self.uniq):
-            self.sketch.update(self.uniq, self.cnt)
-        self.uniq = self.cnt = None
+        if self._uniq is not None and len(self._uniq):
+            self.sketch.update(self._uniq, self._cnt)
+        self._uniq = self._cnt = None
 
     def finish(self) -> MergeableSketch:
         self.flush()
@@ -265,9 +310,10 @@ class CountCombiner:
         """(unique, count) accumulated so far WITHOUT updating the sketch
         — used by the multi-round driver to cache shard counts across
         passes. Only valid if nothing has been flushed."""
+        self._settle()
         self._spill_dense()
-        u, c = self.uniq, self.cnt
-        self.uniq = self.cnt = None
+        u, c = self._uniq, self._cnt
+        self._uniq = self._cnt = None
         if u is None:
             u = np.empty(0, dtype=np.uint64)
             c = np.empty(0, dtype=np.int64)

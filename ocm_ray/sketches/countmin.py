@@ -184,13 +184,23 @@ class CountMin(_CMGeometry):
         contention with a max-scatter keeps both one-sided invariants
         (lower: every proposed value ≥ min+c ≥ true; upper: proposal
         ≤ cell + c ≤ vanilla) under any batch/partition split.
+
+        Runs row by row: a running minimum over the rows of ``pos.T``,
+        then one max-scatter of the targets per row. Rows are disjoint
+        cell ranges and cells only rise, so a row's cells still hold the
+        snapshot when its scatter runs, and ``max(cell, target)`` equals
+        the max-scatter of ``max(snapshot, target)``.
         """
+        core = self.core
         rows = pos.T                                 # C-order (nh, U)
-        vals = self.core[rows]                       # row-by-row gather
-        target = _raise_to(np.minimum.reduce(vals, axis=0), cnt,
-                           self.core.dtype)
-        np.maximum(vals, target, out=vals)
-        np.maximum.at(self.core, rows.ravel(), vals.ravel())
+        floor = core[rows[0]]
+        buf = np.empty_like(floor)
+        for r in rows[1:]:
+            np.minimum(floor, np.take(core, r, out=buf, mode="clip"),
+                       out=floor)
+        target = _raise_to(floor, cnt, core.dtype)
+        for r in rows:
+            np.maximum.at(core, r, target)
 
     def update_sequential(self, items: np.ndarray) -> None:
         """Per-occurrence kernel, bit-identical to the reference's stream

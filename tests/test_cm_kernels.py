@@ -20,11 +20,12 @@ from ocm_ray.core.hashing import (HASH_BLOCK, _wang_block, derive_seeds,
                                   positions, wanghash, wanghash_inplace,
                                   wanghash_scalar)
 from ocm_ray.engine.tokens import (hash_string_array, items_from_batch,
-                                   list_column_values, split_words_hashed,
-                                   token_ids, token_kgram_hashes,
-                                   word_kgram_hashes)
+                                   kgram_reduce, list_column_values,
+                                   split_words_hashed, token_ids,
+                                   token_kgram_hashes, word_kgram_hashes)
 from ocm_ray.sketches import countmin
-from ocm_ray.sketches.base import CountCombiner, dedupe_counts
+from ocm_ray.sketches.base import (CountCombiner, dedupe_counts,
+                                   merge_sorted_counts)
 from ocm_ray.sketches.countmin import CountMin, OfflineCountMin
 
 I32_MAX = 2**31 - 1
@@ -220,6 +221,126 @@ def test_combiner_handover_is_sorted_unique():
         comb.add(rng.integers(0, 1 << 40, 2000, dtype=np.uint64))
     u = comb.uniq
     assert (u[1:] > u[:-1]).all()
+
+
+class _PerBatchCombiner:
+    """The sorted-run path of the combiner before it held raw batches:
+    one dedupe and one merge per batch, a flush whenever the table
+    passes ``flush_limit``."""
+
+    def __init__(self, sketch, flush_limit):
+        self.sketch, self.flush_limit = sketch, flush_limit
+        self.uniq = self.cnt = None
+        self.flushes = 0
+
+    def add(self, items):
+        u, c = dedupe_counts(items.astype(np.uint64))
+        if self.uniq is None:
+            self.uniq, self.cnt = u, c
+        else:
+            self.uniq, self.cnt = merge_sorted_counts(self.uniq, self.cnt,
+                                                      u, c)
+        if len(self.uniq) > self.flush_limit:
+            self.flush()
+
+    def flush(self):
+        self.flushes += 1
+        if self.uniq is not None and len(self.uniq):
+            self.sketch.update(self.uniq, self.cnt)
+        self.uniq = self.cnt = None
+
+
+def _gram_batches(seed, n_batches=12):
+    """k=3 gram hashes of Zipf token rows, batch sizes from 1 to ~600:
+    repeats within and across batches, some batches alone past 50."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_batches):
+        lens = rng.integers(0, 30, int(rng.integers(1, 25)))
+        flat = (rng.zipf(1.2, int(lens.sum())) % 300).astype(np.int32)
+        out.append(kgram_reduce(flat, lens, 3))
+    return [b for b in out if len(b)]
+
+
+def _count_flushes(comb):
+    """Wrap ``comb.flush`` the way a tracing caller does; returns the
+    one-element call counter."""
+    real, n = comb.flush, [0]
+
+    def flush():
+        n[0] += 1
+        real()
+
+    comb.flush = flush
+    return n
+
+
+@pytest.mark.parametrize("cap", [None, 64, 1], ids=["cap-default",
+                                                   "cap-64", "cap-1"])
+@pytest.mark.parametrize("flush_limit", [50, 1000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_held_runs_flush_like_per_batch_merge(monkeypatch, cap, flush_limit,
+                                               seed):
+    """Held sorted-run batches flush at the same batches, with the same
+    tables, as a merge per batch: conservative int32 sketch bytes and
+    flush counts match, whatever the hold cap."""
+    if cap is not None:
+        monkeypatch.setattr(CountCombiner, "HOLD_CAP", cap)
+    batches = _gram_batches(seed)
+
+    def sketch():
+        return CountMin(10, 5, conservative=True, counter_dtype="int32")
+
+    old = _PerBatchCombiner(sketch(), flush_limit)
+    new = CountCombiner(sketch(), flush_limit=flush_limit)
+    n = _count_flushes(new)
+    for b in batches:
+        old.add(b)
+        new.add(b)
+    old.flush()
+    got = new.finish()
+    assert n[0] == old.flushes
+    assert got.to_bytes() == old.sketch.to_bytes()
+    if flush_limit == 50:
+        assert old.flushes > 3          # mid-stream flushes were exercised
+
+
+@pytest.mark.parametrize("cap", [None, 500])
+def test_held_runs_unbounded_limit_drain_equals_unique(monkeypatch, cap):
+    """With no flush limit (the exact-count scan) the held items settle
+    at the cap and at the drain; the table is ``np.unique``'s."""
+    if cap is not None:
+        monkeypatch.setattr(CountCombiner, "HOLD_CAP", cap)
+    batches = _gram_batches(2, n_batches=40)
+    stream = np.concatenate(batches)
+    assert len(stream) > 4 * 500
+    comb = CountCombiner(None, flush_limit=1 << 62)
+    for b in batches:
+        comb.add(b)
+        assert comb._n_held < CountCombiner.HOLD_CAP
+    u, c = comb.drain_counts()
+    ref_u, ref_c = np.unique(stream, return_counts=True)
+    assert np.array_equal(u, ref_u) and np.array_equal(c, ref_c)
+    assert comb.uniq is None and comb.drain_counts()[0].size == 0
+
+
+def test_held_runs_midstream_read_is_the_table_so_far():
+    """A read of uniq/cnt mid-stream settles the held batches into the
+    per-batch merge's table, and later adds continue from it."""
+    batches = _gram_batches(3)
+    comb = CountCombiner(None, flush_limit=1 << 62)
+    old = _PerBatchCombiner(None, 1 << 62)
+    half = len(batches) // 2
+    for b in batches[:half]:
+        comb.add(b)
+        old.add(b)
+    assert np.array_equal(comb.uniq, old.uniq)
+    assert np.array_equal(comb.cnt, old.cnt)
+    for b in batches[half:]:
+        comb.add(b)
+        old.add(b)
+    u, c = comb.drain_counts()
+    assert np.array_equal(u, old.uniq) and np.array_equal(c, old.cnt)
 
 
 def _id_batches(dtype):
@@ -478,6 +599,69 @@ def test_row_major_update_equals_items_major(dtype, conservative, np_bits):
     est = cm.estimate(items)
     assert np.array_equal(est, ref[np.ascontiguousarray(
         cm._positions(items))].min(axis=1))
+
+
+def _nh_by_u_conservative(core, pos, cnt):
+    """The (nh, U) value-matrix conservative kernel the row-wise one
+    replaced."""
+    rows = pos.T
+    vals = core[rows]
+    target = countmin._raise_to(np.minimum.reduce(vals, axis=0), cnt,
+                                core.dtype)
+    np.maximum(vals, target, out=vals)
+    np.maximum.at(core, rows.ravel(), vals.ravel())
+
+
+@pytest.mark.parametrize("dtype", ["int32", "int64"])
+@pytest.mark.parametrize("np_bits", [6, 12])
+def test_rowwise_conservative_signed_core_and_counts(dtype, np_bits):
+    """From a non-zero core holding negative cells, with negative, zero
+    and positive counts, the row-wise kernel writes the bytes of both
+    kernels it replaced."""
+    rng = np.random.default_rng(np_bits)
+    cm = CountMin(np_bits, 5, conservative=True, counter_dtype=dtype)
+    cm.core[:] = rng.integers(-300, 300, cm.size)
+    refs = [cm.core.copy(), cm.core.copy()]
+    for u, c in _tables(7, n=800, domain=3000):
+        c = c - 500
+        assert (c < 0).any() and (c > 0).any()
+        pos = cm._positions(u)
+        cm.update(u, c)
+        _items_major_conservative(refs[0], pos, c)
+        _nh_by_u_conservative(refs[1], pos, c)
+        for ref in refs:
+            assert ref.tobytes() == cm.core.tobytes()
+    assert cm.core.min() < 0
+
+
+def test_rowwise_conservative_int32_near_max():
+    """Near 2^31-1 the int32 row-wise kernel matches the old kernels
+    while targets fit, and raises OverflowError, writing nothing, once
+    a target would pass the max."""
+    rng = np.random.default_rng(8)
+    cm = CountMin(6, 5, conservative=True, counter_dtype="int32")
+    cm.core[:] = I32_MAX - rng.integers(1000, 2000, cm.size)
+    ref = cm.core.copy()
+    u = np.unique(rng.integers(0, 1 << 40, 300, dtype=np.uint64))
+    c = rng.integers(1, 10, len(u))
+    cm.update(u, c)
+    _nh_by_u_conservative(ref, cm._positions(u), c)
+    assert ref.tobytes() == cm.core.tobytes()
+    before = cm.core.copy()
+    with pytest.raises(OverflowError):
+        cm.update(u, np.full(len(u), 2000))
+    assert np.array_equal(cm.core, before)
+
+
+def test_kgram_reduce_row_edges():
+    """Empty rows first, last and between, and rows shorter than k:
+    the windows that stay inside a row and nothing else."""
+    lens = np.array([0, 2, 0, 5, 1, 0, 3, 4, 0], dtype=np.int64)
+    flat = np.arange(1, lens.sum() + 1, dtype=np.int32) * 7
+    for k in (1, 2, 3, 4, 6):
+        want, _ = _unblocked_windows(flat, lens, k)
+        assert len(want) == sum(max(0, n - k + 1) for n in lens)
+        assert np.array_equal(kgram_reduce(flat, lens, k), want)
 
 
 @pytest.mark.parametrize("dtype", ["int32", "int64"])

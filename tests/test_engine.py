@@ -967,6 +967,53 @@ def test_stored_width_ids_build_like_uint64_stream(tmp_path):
         assert a.total_items == len(flat)
 
 
+def test_final_weight_sketches_refuse_split_partials(tmp_path):
+    """cws/pmh take an element's FINAL weight: a build that would merge
+    partials over files sharing tokens raises ValueError naming the fix,
+    and one shard equals the one-shot sketch of the whole count table."""
+    import functools
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ocm_ray.engine.build import build_sketch, build_sketch_sharded
+    from ocm_ray.engine.checkpoint import build_sketch_checkpointed
+    from ocm_ray.sketches.cws import WeightedMinHash
+    from ocm_ray.sketches.pmh import ProbMinHash
+
+    rng = np.random.default_rng(12)
+    files, flat = [], []
+    for i in range(4):
+        rows = [rng.integers(0, 300, 25) for _ in range(30)]
+        flat += rows
+        files.append(str(tmp_path / f"p{i}.parquet"))
+        pq.write_table(pa.table({"tokens": pa.array(rows, type=pa.list_(
+            pa.int32()))}), files[-1])
+    u, c = np.unique(np.concatenate(flat).astype(np.uint64),
+                     return_counts=True)
+    for cls in (WeightedMinHash, ProbMinHash):
+        def factory():
+            return cls(32)
+
+        for fac in (factory, functools.partial(cls, 32)):
+            with pytest.raises(ValueError, match="shards=1"):
+                build_sketch_sharded(files, fac, shards=4)
+        with pytest.raises(ValueError, match="shards=1"):
+            build_sketch_checkpointed(files, factory, str(tmp_path / "ck"),
+                                      shards=4)
+        with pytest.raises(ValueError, match="FINAL weights"):
+            build_sketch(rd.read_parquet(files).repartition(4), factory,
+                         parallelism=2)
+        one = factory()
+        one.update(u, c.astype(np.int64))
+        for got in (build_sketch_sharded(files, factory, shards=1),
+                    build_sketch_checkpointed(
+                        files, factory, str(tmp_path / cls.__name__),
+                        shards=1)):
+            assert got.to_bytes() == one.to_bytes(), cls.__name__
+
+
 def test_items_from_batch_large_binary():
     """large_binary columns (polars / >2GB Arrow promotion) hash
     identically to binary ones instead of raising TypeError."""

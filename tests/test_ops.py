@@ -363,6 +363,45 @@ def test_collision_pairs_empty_and_schema():
     assert len(out) == 0 and list(out.columns) == ["a", "b"]
 
 
+def test_ops_chunked_and_sliced_columns_equal_one_chunk():
+    """Per-batch ops read a column's chunk as is: a two-chunk column and
+    a sliced one (offset 7, from a fused upstream stage) give the
+    one-chunk column's distinct counts and exact-Jaccard pairs."""
+    import ray.data as rd
+
+    from ocm_ray.ops.dedup import exact_jaccard_pairs
+    from ocm_ray.ops.relational import distinct_count
+
+    df = _dedup_corpus(n_base=60, seed=4)
+    df["k"] = df["doc_id"] % 17
+    full = pa.Table.from_pandas(df, preserve_index=False)
+    rows = full.slice(7).combine_chunks()        # one chunk, offset 0
+
+    def two_chunks(b: pa.Table) -> pa.Table:
+        h = b.num_rows // 2
+        return pa.table({c: pa.chunked_array([b.column(c).slice(0, h),
+                                              b.column(c).slice(h)])
+                         for c in b.column_names})
+
+    layouts = {
+        "one": rd.from_arrow(rows).map_batches(lambda b: b,
+                                               batch_format="pyarrow"),
+        "two": rd.from_arrow(rows).map_batches(two_chunks,
+                                               batch_format="pyarrow"),
+        "sliced": rd.from_arrow(full).map_batches(lambda b: b.slice(7),
+                                                  batch_format="pyarrow"),
+    }
+    got = {name: (distinct_count(ds, "k"), distinct_count(ds, "text"),
+                  exact_jaccard_pairs(ds, threshold=0.5, n_shards=8))
+           for name, ds in layouts.items()}
+    want = got.pop("one")
+    assert want[:2] == (17, rows.column("text").to_pandas().nunique())
+    assert len(want[2]) > 0
+    for name, g in got.items():
+        assert g[:2] == want[:2], name
+        pd.testing.assert_frame_equal(g[2], want[2])
+
+
 def test_curate_drop_semantics(tmp_path):
     """curate drops exactly: non-keeper exact copies ∪ near-dup b-sides;
     broadcast drop-state only (no corpus-sized driver sets)."""
