@@ -25,6 +25,11 @@ count-table merge in the package uses; no token shuffle ever happens
 The paths are correctness-equivalent; order-free sketches (vanilla CM,
 HLL, Bloom, bottom-k, OCM passes) are bit-identical between them and
 across any parallelism (property-tested).
+
+Exact token counts have one scan, :func:`count_tables` (a sorted
+(unique, count) table per file shard or Dataset block, folded by
+``tree_reduce(tables, merge_counts)``): ``rounds.build_ocm``, the
+``ops.relational`` exact counts and the flagship truth table read it.
 """
 
 from __future__ import annotations
@@ -119,6 +124,17 @@ def check_one_partial(factory: SketchFactory, n_partials: int,
             f"element weights across them. Use {fix}, or build it from "
             "pre-aggregated counts: sketch.update(items, counts) over one "
             "(element, total weight) table.")
+
+
+def _merge_final_checked(a: MergeableSketch, b: MergeableSketch,
+                         fix: str) -> MergeableSketch:
+    """``a`` merged with ``b``, after :func:`check_one_partial`: only two
+    partials that both hold updates split an element's weight."""
+    if not a.weight_additive:
+        zero = a.empty_like().to_bytes()
+        check_one_partial(type(a), (a.to_bytes() != zero)
+                          + (b.to_bytes() != zero), fix)
+    return a.ensure_writable().merge(b)
 
 
 def merge_sketches(a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:
@@ -234,25 +250,46 @@ def _build_file_shard(files: List[str], factory: SketchFactory, column: str,
     return comb.finish()
 
 
-@ray.remote(num_cpus=1)
-def shard_token_counts(files: List[str], column: str, kgram: int,
-                       batch_size: int = 65536):
-    """Exact (unique, count) table of one file shard — the cacheable
-    pre-aggregate the multi-round driver reuses across passes."""
+def _exact_counts(id_batches):
     comb = CountCombiner(None, flush_limit=1 << 62)  # pure counting, no sketch
-    for ids in _file_token_ids(files, column, kgram, batch_size):
+    for ids in id_batches:
         comb.add(ids)
     return comb.drain_counts()
 
 
 @ray.remote(num_cpus=1)
+def shard_token_counts(files: List[str], column: str, kgram: int,
+                       batch_size: int = 65536):
+    """Exact (unique, count) table of one file shard — the cacheable
+    pre-aggregate the multi-round driver reuses across passes."""
+    return _exact_counts(_file_token_ids(files, column, kgram, batch_size))
+
+
+@ray.remote(num_cpus=1)
 def block_token_counts(block, column: str, kgram: int):
     """Exact (unique, count) table of one Dataset block."""
-    comb = CountCombiner(None, flush_limit=1 << 62)
     block = _as_arrow(block)
-    if block.num_rows:  # an empty block may be schema-less (rule 8b)
-        comb.add(token_ids(block, column, kgram))
-    return comb.drain_counts()
+    # an empty block may be schema-less (rule 8b)
+    return _exact_counts([token_ids(block, column, kgram)]
+                         if block.num_rows else [])
+
+
+def count_tables(files: Optional[List[str]] = None,
+                 ds: Optional[Dataset] = None, column: str = "tokens",
+                 kgram: int = 1, parallelism: Optional[int] = None,
+                 ) -> List[ray.ObjectRef]:
+    """The corpus scanned into exact sorted (unique, count) table refs:
+    one ``shard_token_counts`` per :func:`plan_shards` group of ``files``
+    (``parallelism`` groups, default the CPU count), else one
+    ``block_token_counts`` per block of ``ds`` (at least one table)."""
+    if files is not None:
+        p = parallelism or int(ray.cluster_resources().get("CPU", 8))
+        # the module global, read per call: a traced stand-in may replace it
+        return [shard_token_counts.remote(grp, column, kgram)
+                for grp in plan_shards(files, p, column)]
+    refs = [block_token_counts.remote(b, column, kgram)
+            for b in iter_block_refs(ds)]
+    return refs or [block_token_counts.remote(pa.table({}), column, kgram)]
 
 
 def build_sketch_sharded(files: List[str], factory: SketchFactory,
@@ -299,7 +336,9 @@ class SketchAggregate(AggregateFnV2):
     ``{name: serialized sketch bytes}``;
     ``ds.groupby("source").aggregate(...)`` → one sketch row per key.
     Finalized value is ``to_bytes()`` (self-describing; restore with
-    ``MergeableSketch.from_bytes``).
+    ``MergeableSketch.from_bytes``). A final-weight sketch (cws, pmh)
+    raises ``ValueError`` when two blocks of one aggregate or group both
+    hold items.
     """
 
     def __init__(self, factory: SketchFactory, on: str = "tokens",
@@ -317,7 +356,7 @@ class SketchAggregate(AggregateFnV2):
         return sk
 
     def combine(self, a: MergeableSketch, b: MergeableSketch) -> MergeableSketch:
-        return a.ensure_writable().merge(b)
+        return _merge_final_checked(a, b, "one block per aggregate or group")
 
     def finalize(self, accumulator: MergeableSketch) -> bytes:
         return accumulator.to_bytes()
@@ -336,7 +375,8 @@ def grouped_sketches(ds: Dataset, key: str, factory: SketchFactory,
     on an 896-row state table, plus ~5x the shuffled bytes — CLAUDE.md
     rule 3b). Every key lands wholly in one shard, so the scan output is
     exactly one row per key; the driver folds only that keys-sized
-    table."""
+    table. A final-weight sketch (cws, pmh) raises ``ValueError`` when
+    two blocks hold items of one key."""
     def _key_runs(keys_np: np.ndarray):
         """One stable sort → (order, run starts, run lengths): every
         distinct key becomes one contiguous slice. Linear in rows +
@@ -391,10 +431,10 @@ def grouped_sketches(ds: Dataset, key: str, factory: SketchFactory,
         order, ks, starts, lens = _key_runs(keys_np)
         out_k, out_s = [], []
         for s, n in zip(starts, lens):
-            idx = order[s:s + n]
-            acc = MergeableSketch.from_bytes(states[idx[0]]).ensure_writable()
-            for i in idx[1:]:
-                acc.merge(MergeableSketch.from_bytes(states[i]))
+            acc = functools.reduce(
+                lambda a, b: _merge_final_checked(a, b, "one block per key"),
+                (MergeableSketch.from_bytes(states[i])
+                 for i in order[s:s + n]))
             out_k.append(ks[s])
             out_s.append(acc.to_bytes())
         return pa.table({key: pa.array(out_k,

@@ -18,30 +18,28 @@ stream cannot do. Per round r (``main.cpp:35-62`` non-conservative,
         collision=max. Order-dependent → sandwiched
         (true ≤ est ≤ vanilla-CM), tested.
 
-One pass engine, two scan sources. The corpus is scanned ONCE into
-exact (token, count) tables cached in the object store — per file shard
-with ``files=...`` (``build.shard_token_counts``, the throughput path),
-per Dataset block with ``dataset_factory=...``
-(``build.block_token_counts``) — and every pass of every round folds
-those cached tables (grouped ≤8 pass tasks); the reference's 2n−1
-re-reads disappear entirely. The only cross-round state is the
-broadcast sketch arrays (``ray.put`` once per pass, read zero-copy by
-every task). With a ``RoundCheckpointer`` hook the file-shard tables are
-checkpointed too, so a resumed build skips the scan as well.
+One pass engine over one scan. The corpus is scanned ONCE by
+``build.count_tables`` — the package's one exact-count scan — into
+(token, count) tables cached in the object store: per file shard with
+``files=...`` (the throughput path), per Dataset block with
+``dataset_factory=...``. Every pass of every round folds those cached
+tables (grouped ≤8 pass tasks); the reference's 2n−1 re-reads disappear
+entirely. The only cross-round state is the broadcast sketch arrays
+(``ray.put`` once per pass, read zero-copy by every task). With a
+``RoundCheckpointer`` hook the file-shard tables are checkpointed too,
+so a resumed build skips the scan as well.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from ocm_ray.engine.build import (block_token_counts, merge_counts,
-                                  merge_sketches, plan_shards, tree_reduce)
+from ocm_ray.engine.build import (count_tables, merge_counts, merge_sketches,
+                                  tree_reduce)
 from ocm_ray.engine.checkpoint import RoundCheckpointer, _fingerprint
-from ocm_ray.ops.pairs import iter_block_refs
 from ocm_ray.sketches.countmin import OfflineCountMin
 
 
@@ -61,14 +59,13 @@ def _round_pass_counts(shard_counts, np_bits: int, nh: int, seedseed: int,
                        counter_dtype: str = "int64"):
     """One round pass over a shard's cached (unique, count) table.
 
-    The corpus is scanned ONCE (``build.shard_token_counts`` or
-    ``build.block_token_counts``); every pass of every round then
-    operates on the shard's exact grouped multiset — bit-identical for
-    the order-free OCM passes (masked scatter-add / frozen-read marking
-    are functions of the multiset), and equal to the documented
-    grouped-conservative semantics for the fused OCCM pass (each shard's
-    occurrences processed token-grouped). This removes the reference's
-    2n-1 re-reads entirely.
+    The corpus is scanned ONCE (``build.count_tables``); every pass of
+    every round then operates on the shard's exact grouped multiset —
+    bit-identical for the order-free OCM passes (masked scatter-add /
+    frozen-read marking are functions of the multiset), and equal to the
+    documented grouped-conservative semantics for the fused OCCM pass
+    (each shard's occurrences processed token-grouped). This removes the
+    reference's 2n-1 re-reads entirely.
     """
     # refs nested inside a list are NOT auto-resolved by Ray — fetch them
     # (zero-copy from the shared store; the tables were put once)
@@ -96,21 +93,12 @@ def _round_pass_counts(shard_counts, np_bits: int, nh: int, seedseed: int,
 
 def _scan(dataset_factory, files, column: str, kgram: int,
           n_shards: Optional[int], collapse_threshold: int):
-    """Single corpus scan → cached exact count tables (every pass reads
-    these, not the source), plus the plan summary ``build_ocm`` reports
-    and the scan checkpoint stores."""
-    if files is not None:
-        # looked up per call: perfbench swaps a traced stand-in into build
-        from ocm_ray.engine.build import shard_token_counts
-
-        count_refs = [shard_token_counts.remote(grp, column, kgram)
-                      for grp in plan_shards(files, n_shards, column)]
-    else:
-        count_refs = [block_token_counts.remote(b, column, kgram)
-                      for b in iter_block_refs(dataset_factory())]
-        if not count_refs:  # a Dataset with no blocks: one empty table
-            count_refs = [block_token_counts.remote(pa.table({}), column,
-                                                    kgram)]
+    """Single corpus scan (``build.count_tables``) → cached exact count
+    tables (every pass reads these, not the source), plus the plan
+    summary ``build_ocm`` reports and the scan checkpoint stores."""
+    count_refs = count_tables(
+        files, dataset_factory() if files is None else None, column, kgram,
+        n_shards)
     # bounded-vocab collapse: token-id domains make every shard's table
     # cover nearly the whole vocabulary, so 2n passes would each pay P
     # sketch-sized partials + a 100s-of-MB tree merge to re-aggregate

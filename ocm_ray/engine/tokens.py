@@ -193,7 +193,8 @@ def token_ids(batch: pa.Table, column: str = "tokens",
 
     * list<int*> column → the flattened values as stored (int32 ids stay
       int32; no copy when the batch holds one chunk); kgram-windowed
-      uint64 hashes if kgram>1;
+      uint64 hashes if kgram>1 — Ray's tensor extension types (a pandas
+      block's array column) too, through :func:`list_column_values`;
     * integer column → its values as stored (``kgram`` is ignored);
     * string/binary column → stable 64-bit hashes;
     * float column → float64 values (the value sketches' input).
@@ -202,7 +203,8 @@ def token_ids(batch: pa.Table, column: str = "tokens",
     :func:`items_from_batch` does.
     """
     col_type = batch.schema.field(column).type
-    if pa.types.is_list(col_type) or pa.types.is_large_list(col_type):
+    if pa.types.is_list(col_type) or pa.types.is_large_list(col_type) \
+            or isinstance(col_type, pa.ExtensionType):
         flat, lengths = list_column_values(batch, column)
         if kgram > 1:
             return kgram_reduce(flat, lengths, kgram)

@@ -31,12 +31,9 @@ def count_and_query(seq_dir: str, np_bits: int = 20, nh: int = 7,
     (``output/analysis.py:7-9`` semantics). ``validate_input=True`` first
     runs the per-row token-array-equality stage against the regenerated
     reference input (north-rule invariant)."""
-    import ray.data as rd
-
     from ocm_ray.engine.checkpoint import RoundCheckpointer
     from ocm_ray.engine.rounds import build_ocm
-    from ocm_ray.ops.agg import grouped_topk
-    from ocm_ray.ops.relational import exact_token_counts
+    from ocm_ray.ops.relational import exact_token_counts_sharded
 
     if validate_input:
         from ocm_ray.data.sequences import validate_sequences
@@ -48,9 +45,11 @@ def count_and_query(seq_dir: str, np_bits: int = 20, nh: int = 7,
     sk = build_ocm(np_bits=np_bits, nh=nh, seedseed=seedseed, rounds=rounds,
                    conservative=conservative, files=files,
                    parallelism=parallelism, on_round_end=hook)
-    counts = exact_token_counts(rd.read_parquet(seq_dir, columns=["tokens"]))
-    truth = (grouped_topk(counts, [], "cnt", top_n_queries, tie_cols=["token"])
-             .to_pandas().rename(columns={"cnt": "true_count"}))
+    # top-n in grouped_topk's collation: count desc, then token asc
+    truth = (exact_token_counts_sharded(files)
+             .sort_by([("cnt", "descending"), ("token", "ascending")])
+             .slice(0, top_n_queries).to_pandas()
+             .rename(columns={"cnt": "true_count"}))
     truth["estimated_count"] = sk.estimate(
         truth["token"].to_numpy().astype(np.uint64))
     bad = truth["estimated_count"] < truth["true_count"]

@@ -238,6 +238,17 @@ def test_block_fold_edge_inputs(seq_dir):
         [ray.put(t), ray.put(pa.table({})), ray.put(t)]))
     assert cm.total_items == oc.total_items == 2 * n
 
+    # array-valued pandas columns become Ray's tensor extension types
+    # (variable-shaped; fixed-shaped when every row has one length)
+    rows = [np.array(r, np.int32) for r in t.column("tokens").to_pylist()]
+    for cut in (None, 3):
+        arr = pa.array([r[:cut] for r in rows], type=pa.list_(pa.int32()))
+        pdf = pd.DataFrame({"tokens": [r[:cut] for r in rows]})
+        got = both(lambda: rd.from_pandas([pdf.iloc[:9], pdf.iloc[9:]]))
+        want = both(lambda: rd.from_arrow(
+            [pa.table({"tokens": arr[:9]}), pa.table({"tokens": arr[9:]})]))
+        assert [s.to_bytes() for s in got] == [s.to_bytes() for s in want]
+
     toks = np.concatenate(t.column("tokens").to_pylist()).astype(np.int64)
     pdf = pd.DataFrame({"token": toks})
     cm, oc = both(lambda: rd.from_pandas([pdf.iloc[:500], pdf.iloc[500:]]),
@@ -968,17 +979,21 @@ def test_stored_width_ids_build_like_uint64_stream(tmp_path):
 
 
 def test_final_weight_sketches_refuse_split_partials(tmp_path):
-    """cws/pmh take an element's FINAL weight: a build that would merge
-    partials over files sharing tokens raises ValueError naming the fix,
-    and one shard equals the one-shot sketch of the whole count table."""
+    """cws/pmh take an element's FINAL weight: a build, UDAF aggregate or
+    per-key build that would merge partials over files or blocks sharing
+    tokens raises ValueError naming the fix, and one shard (one block)
+    equals the one-shot sketch of the whole count table (block)."""
     import functools
 
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ocm_ray.engine.build import build_sketch, build_sketch_sharded
+    from ocm_ray.engine.build import (SketchAggregate, build_sketch,
+                                      build_sketch_sharded, grouped_sketches)
     from ocm_ray.engine.checkpoint import build_sketch_checkpointed
+    from ocm_ray.engine.tokens import items_from_batch
+    from ocm_ray.sketches import MergeableSketch
     from ocm_ray.sketches.cws import WeightedMinHash
     from ocm_ray.sketches.pmh import ProbMinHash
 
@@ -1005,6 +1020,24 @@ def test_final_weight_sketches_refuse_split_partials(tmp_path):
         with pytest.raises(ValueError, match="FINAL weights"):
             build_sketch(rd.read_parquet(files).repartition(4), factory,
                          parallelism=2)
+        # the UDAF and the per-key build: blocks sharing a key raise, one
+        # block per key gives that block's sketch
+        keyed = lambda ds: ds.map_batches(
+            lambda b: b.append_column("k", pa.array(["a"] * b.num_rows)),
+            batch_format="pyarrow")
+        table = pa.concat_tables(pq.read_table(f) for f in files)
+        block = factory()
+        block.update(items_from_batch(table, "tokens"))
+        split = rd.read_parquet(files).repartition(4)
+        with pytest.raises(ValueError, match="FINAL weights"):
+            split.aggregate(SketchAggregate(factory))
+        with pytest.raises(ValueError, match="FINAL weights"):
+            grouped_sketches(keyed(split), "k", factory)
+        whole = rd.from_arrow(table)
+        for got in (MergeableSketch.from_bytes(whole.aggregate(
+                        SketchAggregate(factory))["sketch(tokens)"]),
+                    grouped_sketches(keyed(whole), "k", factory)["a"]):
+            assert got.to_bytes() == block.to_bytes(), cls.__name__
         one = factory()
         one.update(u, c.astype(np.int64))
         for got in (build_sketch_sharded(files, factory, shards=1),

@@ -341,24 +341,50 @@ def test_shard_scan_exchange_properties():
     assert "n" in out_e.schema().names
 
 
-def test_exact_token_counts_sharded_parity():
-    """Files-based fused-read exact counts == Dataset-path exact counts."""
+def test_exact_token_counts_sharded_parity(tmp_path):
+    """Files-based fused-read exact counts == Dataset-path exact counts
+    == a numpy oracle, on a vocab corpus and on one with negative ids and
+    ids past the combiner's dense domain (the sorted-run path);
+    distinct_tokens_count is the table's row count."""
     import glob
     import os
 
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from ocm_ray.data.sequences import ensure_sequences
-    from ocm_ray.ops.relational import (exact_token_counts,
+    from ocm_ray.ops.relational import (distinct_tokens_count,
+                                        exact_token_counts,
                                         exact_token_counts_sharded)
+    from ocm_ray.sketches.base import CountCombiner
 
-    seq = ensure_sequences(1000, seed=42, n_files=8)
-    files = sorted(glob.glob(os.path.join(seq, "*.parquet")))
-    a = exact_token_counts_sharded(files).to_pandas() \
-        .sort_values("token").reset_index(drop=True)
-    b = exact_token_counts(rd.read_parquet(seq, columns=["tokens"])) \
-        .to_pandas().sort_values("token").reset_index(drop=True)
-    assert a.equals(b)
+    rng = np.random.default_rng(16)
+    wide = str(tmp_path / "wide")
+    os.makedirs(wide)
+    for i in range(5):
+        rows = [rng.integers(-40, CountCombiner.DENSE_DOMAIN + 40,
+                             int(rng.integers(0, 60))).astype(np.int32)
+                for _ in range(80)]
+        rows.append(np.array([-1, CountCombiner.DENSE_DOMAIN, -1], np.int32))
+        pq.write_table(pa.table({"tokens": pa.array(
+            rows, type=pa.list_(pa.int32()))}),
+            os.path.join(wide, f"part-{i:05d}.parquet"))
+    for seq in (ensure_sequences(1000, seed=42, n_files=8), wide):
+        files = sorted(glob.glob(os.path.join(seq, "*.parquet")))
+        a = exact_token_counts_sharded(files).to_pandas() \
+            .sort_values("token").reset_index(drop=True)
+        b = exact_token_counts(rd.read_parquet(seq, columns=["tokens"])) \
+            .to_pandas().sort_values("token").reset_index(drop=True)
+        assert a.equals(b)
+        flat = np.concatenate([pq.read_table(f).column("tokens")
+                               .combine_chunks().values.to_numpy()
+                               for f in files])
+        u, c = np.unique(flat, return_counts=True)
+        assert a["token"].dtype == np.int32 and a["cnt"].dtype == np.int64
+        assert np.array_equal(a["token"], u) and np.array_equal(a["cnt"], c)
+        assert distinct_tokens_count(
+            rd.read_parquet(seq, columns=["tokens"])) == len(a)
 
 
 def test_windowed_distinct_matches_pandas():
